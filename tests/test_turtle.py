@@ -181,6 +181,69 @@ def test_syntax_errors_carry_position_and_token():
     assert "expected" in str(err2.value)
 
 
+# (document, error class, line, column, message): each lexer error, with
+# multi-line inputs and errors in the middle of a token
+LEXER_ERRORS = [
+    ('<http://x/s>\n  <http://x/p> <http://x/o', TurtleParseError, 2, 27, "unterminated IRI"),
+    ('<http://x/s> <http://x/p\n> <http://x/o> .', TurtleParseError, 1, 25, "newline inside IRI"),
+    ('<http://x/s> <http://x/p> "abc\n" .', TurtleParseError, 1, 31, "unterminated string"),
+    ('<http://x/s>\r\n<http://x/p> "a\\tb\rc" .', TurtleParseError, 2, 19, "unterminated string"),
+    ('<http://x/s> <http://x/p> """one\ntwo ""', TurtleParseError, 2, 7,
+     "unterminated triple-quoted string"),
+    ("<http://x/s> <http://x/p> '''one\n''", TurtleParseError, 2, 3,
+     "unterminated triple-quoted string"),
+    ("<http://x/s> <http://x/\\q> .", TurtleParseError, 1, 25, "invalid escape '\\q' in IRI"),
+    ('<http://x/s> <http://x/p>\n  "a\\u0041\\qb" .', TurtleParseError, 2, 12,
+     "invalid string escape '\\q'"),
+    ('<http://x/s> <http://x/p> "end\\', TurtleParseError, 1, 32, "invalid string escape '\\'"),
+    ("@prefix ex: <http://x/> .\nex:s ex:p ex:a\\qb .", TurtleParseError, 2, 15,
+     "invalid name escape '\\q'"),
+    ("<http://x/s> <http://x/p>\n  foo.\\q .", TurtleParseError, 2, 7, "invalid name escape '\\q'"),
+    ('<http://x/s> <http://x/p> "\\u12G4" .', TurtleParseError, 1, 32, "truncated numeric escape"),
+    ("<http://x/s> <http://x/\\U0001F60> .", TurtleParseError, 1, 33, "truncated numeric escape"),
+    ("<http://x/s>\n<http://x/p> '''a\n\\U0000004' .", TurtleParseError, 3, 10,
+     "truncated numeric escape"),
+    ('<http://x/s> <http://x/p> "x"@ .', TurtleParseError, 1, 31,
+     "expected language tag or directive after '@'"),
+    ("\n@1prefix", TurtleParseError, 2, 2, "expected language tag or directive after '@'"),
+    ('<http://x/s> <http://x/p> "x"^<http://x/t> .', TurtleParseError, 1, 30,
+     "unexpected '^' (at '^')"),
+    ("<http://x/s> <http://x/p> -.x .", TurtleParseError, 1, 27, "malformed number"),
+    ("<http://x/s>\n<http://x/p> ²", TurtleParseError, 2, 14, "malformed number"),
+    ("<http://x/s> <http://x/p> .² .", TurtleParseError, 1, 27, "malformed number"),
+    ("<http://x/s> <http://x/p> 1² .", TurtleParseError, 1, 28, "malformed number"),
+    ("<http://x/s> <http://x/p> +. .", TurtleParseError, 1, 27, "malformed number"),
+    ("_:. <http://x/p> 1 .", TurtleParseError, 1, 3, "empty blank node label"),
+    ("<http://x/s> <http://x/p> _: .", TurtleParseError, 1, 29, "empty blank node label"),
+    ("<http://x/s> <http://x/p>\n   hello .", TurtleParseError, 2, 4,
+     "unexpected bare word (at 'hello')"),
+    ("<http://x/s> <http://x/p> {} .", TurtleParseError, 1, 27, "unexpected character '{' (at '{')"),
+    ("\n\n  +x", TurtleParseError, 3, 3, "unexpected character '+' (at '+')"),
+    ('\ufeff<http://x/s>\n <http://x/p> "\U0001F600\U0001F600\\q" .', TurtleParseError, 2, 19,
+     "invalid string escape '\\q'"),
+    ('# comment "\n\t<http://x/s> <http://x/p> ~ .', TurtleParseError, 2, 28,
+     "unexpected character '~' (at '~')"),
+    ("<http://x/s> @prefix", TurtleParseError, 1, 14, "expected predicate (at 'at_prefix')"),
+    ('<http://x/s> <http://x/p> "x" ', TurtleParseError, 1, 31,
+     "expected '.' after triples (at 'eof')"),
+    ('<http://x/s> <http://x/p> "x"^^"y" .', TurtleParseError, 1, 32,
+     "expected datatype IRI after '^^' (at 'y')"),
+    ("<http://x/s> <http://x/p>\n  ex:o .", UndefinedPrefixError, 2, 3,
+     "undefined prefix 'ex:' (at 'ex:o')"),
+    ("<http://x/s> <http://x/p> <o> .", RelativeIriError, 1, 27,
+     "relative IRI 'o' without a base (at 'o')"),
+]
+
+
+@pytest.mark.parametrize("document, cls, line, column, message", LEXER_ERRORS)
+def test_lexer_errors_carry_message_and_position(document, cls, line, column, message):
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(document)
+    assert type(err.value) is cls
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
 def test_parser_totality_fuzz():
     # every input must yield a Graph or a positioned TurtleParseError
     rng = random.Random(99)

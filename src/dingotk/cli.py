@@ -17,7 +17,7 @@ from typing import Optional
 from . import docgen, ingest, queries, shapes
 from .ontology import DINGO_BASE, OntologySchema, load_ontology
 from .queries import Conventions, UntypedNodeWarning
-from .terms import BlankNode, DingoError, Graph, IRI, Literal, Term
+from .terms import BlankNode, DingoError, Graph, IRI, Term
 from .turtle import parse_turtle, serialize_turtle
 
 EXIT_OK = 0
@@ -35,6 +35,22 @@ class _ArgumentParser(argparse.ArgumentParser):
     # errors and uses 3 for usage
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
+
+
+# subquery -> (query over (data, schema, node, inherited, conventions), whether
+# to sort its result); "ancestry" keeps its nearest-first order
+_NODE_QUERIES = {
+    "grants-of": (lambda d, s, n, i, c: queries.grants_funding_project(d, s, n, c), True),
+    "projects-of": (lambda d, s, n, i, c: queries.projects_funded_by(d, s, n, c), True),
+    "ancestry": (lambda d, s, n, i, c: queries.scheme_ancestry(d, n, c), False),
+    "criteria": (lambda d, s, n, i, c: queries.criteria_for_scheme(d, n, i, c), True),
+    "participants": (lambda d, s, n, i, c: queries.participants_with_roles(d, s, n, c), False),
+    "beneficiaries": (lambda d, s, n, i, c: queries.beneficiaries_of(d, n, c), True),
+    "non-beneficiary-participants": (
+        lambda d, s, n, i, c: queries.non_beneficiary_participants(d, s, n, c),
+        True,
+    ),
+}
 
 
 def _read_file(path: str) -> str:
@@ -57,11 +73,6 @@ def _load_schema(path: Optional[str]) -> OntologySchema:
 
 def format_term(term: Term) -> str:
     """N-Triples-style rendering used by all line-oriented output."""
-    if isinstance(term, IRI):
-        return f"<{term.value}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    assert isinstance(term, Literal)
     return repr(term)
 
 
@@ -115,16 +126,7 @@ def build_parser() -> _ArgumentParser:
     query = sub.add_parser("query", help="funding-graph queries")
     query.add_argument(
         "subquery",
-        choices=(
-            "grants-of",
-            "projects-of",
-            "ancestry",
-            "criteria",
-            "participants",
-            "beneficiaries",
-            "non-beneficiary-participants",
-            "temporal-check",
-        ),
+        choices=(*_NODE_QUERIES, "temporal-check"),
     )
     query.add_argument("data", help="data Turtle file")
     query.add_argument("--node", help="focus node IRI (not needed for temporal-check)")
@@ -274,53 +276,25 @@ def _cmd_query(args) -> int:
         return EXIT_OK if not violations else EXIT_NONCONFORMANT
 
     node = _parse_node(args.node)
-
+    query, ordered = _NODE_QUERIES[args.subquery]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UntypedNodeWarning)
-        if args.subquery == "grants-of":
-            found = sorted(
-                queries.grants_funding_project(data, schema, node, conventions),
-                key=format_term,
-            )
-        elif args.subquery == "projects-of":
-            found = sorted(
-                queries.projects_funded_by(data, schema, node, conventions), key=format_term
-            )
-        elif args.subquery == "ancestry":
-            found = queries.scheme_ancestry(data, node, conventions)
-        elif args.subquery == "criteria":
-            found = sorted(
-                queries.criteria_for_scheme(data, node, args.inherited, conventions),
-                key=format_term,
-            )
-        elif args.subquery == "beneficiaries":
-            found = sorted(queries.beneficiaries_of(data, node, conventions), key=format_term)
-        elif args.subquery == "non-beneficiary-participants":
-            found = sorted(
-                queries.non_beneficiary_participants(data, schema, node, conventions),
-                key=format_term,
-            )
-        else:  # participants
-            participations = queries.participants_with_roles(data, schema, node, conventions)
-            for warning in caught:
-                print(f"warning: {warning.message}", file=sys.stderr)
-            if args.format == "json":
-                payload = [
-                    {
-                        "agent": format_term(p.agent),
-                        "role": format_term(p.role) if p.role else None,
-                    }
-                    for p in participations
-                ]
-                print(json.dumps({"results": payload}, indent=2))
-            else:
-                for p in participations:
-                    role = format_term(p.role) if p.role else "-"
-                    print(f"{format_term(p.agent)}\t{role}")
-            return EXIT_OK
+        found = query(data, schema, node, args.inherited, conventions)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    return _render_terms(found, args.format)
+    if args.subquery != "participants":
+        return _render_terms(sorted(found, key=format_term) if ordered else found, args.format)
+    if args.format == "json":
+        payload = [
+            {"agent": format_term(p.agent), "role": format_term(p.role) if p.role else None}
+            for p in found
+        ]
+        print(json.dumps({"results": payload}, indent=2))
+    else:
+        for p in found:
+            role = format_term(p.role) if p.role else "-"
+            print(f"{format_term(p.agent)}\t{role}")
+    return EXIT_OK
 
 
 def _cmd_docgen(args) -> int:

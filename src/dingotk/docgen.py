@@ -38,7 +38,7 @@ from .terms import (
     Term,
     term_sort_key,
 )
-from .turtle import _abbreviation_table, _render_term
+from .turtle import term_renderer
 
 DCT_TITLE = IRI(DCT_NS + "title")
 DCT_DESCRIPTION = IRI(DCT_NS + "description")
@@ -106,7 +106,7 @@ def local_name(iri: IRI) -> str:
     return re.split(r"[#/]", iri.value.rstrip("#/"))[-1]
 
 
-def _pretty_blank(g: Graph, node: BlankNode, table, seen=None) -> str:
+def _pretty_blank(g: Graph, node: BlankNode, render, seen=None) -> str:
     """Inline Turtle-ish rendering of an anonymous node structure."""
     seen = set(seen or ())
     if node in seen:
@@ -125,7 +125,7 @@ def _pretty_blank(g: Graph, node: BlankNode, table, seen=None) -> str:
             heads = g.objects(current, RDF_FIRST)
             if not heads:
                 break
-            items.append(_pretty_term(g, heads[0], table, seen))
+            items.append(_pretty_term(g, heads[0], render, seen))
             nxt = g.objects(current, RDF_REST)
             current = nxt[0] if nxt else RDF_NIL
             if current == RDF_NIL:
@@ -134,15 +134,15 @@ def _pretty_blank(g: Graph, node: BlankNode, table, seen=None) -> str:
 
     parts = []
     for t in g.match(node, None, None):
-        pred = "a" if t.predicate == RDF_TYPE else _render_term(t.predicate, table)
-        parts.append(f"{pred} {_pretty_term(g, t.object, table, seen)}")
+        pred = "a" if t.predicate == RDF_TYPE else render(t.predicate)
+        parts.append(f"{pred} {_pretty_term(g, t.object, render, seen)}")
     return "[ " + " ; ".join(parts) + " ]"
 
 
-def _pretty_term(g: Graph, term: Term, table, seen=None) -> str:
+def _pretty_term(g: Graph, term: Term, render, seen=None) -> str:
     if isinstance(term, BlankNode):
-        return _pretty_blank(g, term, table, seen)
-    return _render_term(term, table)
+        return _pretty_blank(g, term, render, seen)
+    return render(term)
 
 
 def _first_literal(g: Graph, subject: Term, *predicates: IRI) -> str:
@@ -157,7 +157,7 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
     """One documentation entry per registered class/property, plus
     individuals typed by registered classes, structured axioms, and the
     document's namespaces."""
-    table = _abbreviation_table(g.prefixes)
+    render = term_renderer(g.prefixes)
 
     onto = schema.ontology_iri
     header = OntologyHeader(
@@ -185,7 +185,7 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             if t.predicate in _STRUCTURAL_PREDICATES:
                 continue
             target = t.object if isinstance(t.object, IRI) else None
-            out.append((t.predicate, _pretty_term(g, t.object, table), target))
+            out.append((t.predicate, _pretty_term(g, t.object, render), target))
         return out
 
     class_entries = []
@@ -197,7 +197,7 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
         for sup in sorted(info.direct_superclasses, key=term_sort_key):
             entry.relations.append(("superclass", sup))
         for blank in info.anonymous_superclasses:
-            entry.relations.append(("superclass", _pretty_blank(g, blank, table)))
+            entry.relations.append(("superclass", _pretty_blank(g, blank, render)))
         for m in info.mappings:
             entry.relations.append((m.kind, m.target))
         entry.annotations = other_annotations(iri)
@@ -215,14 +215,14 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             entry.relations.append(("range", rng))
         for t in g.match(iri, RDFS_DOMAIN, None):
             if isinstance(t.object, BlankNode):
-                entry.relations.append(("domain", _pretty_blank(g, t.object, table)))
+                entry.relations.append(("domain", _pretty_blank(g, t.object, render)))
         for t in g.match(iri, RDFS_RANGE, None):
             if isinstance(t.object, BlankNode):
-                entry.relations.append(("range", _pretty_blank(g, t.object, table)))
+                entry.relations.append(("range", _pretty_blank(g, t.object, render)))
         for sup in sorted(info.direct_superproperties, key=term_sort_key):
             entry.relations.append(("superproperty", sup))
         for blank in info.anonymous_superproperties:
-            entry.relations.append(("superproperty", _pretty_blank(g, blank, table)))
+            entry.relations.append(("superproperty", _pretty_blank(g, blank, render)))
         for m in info.mappings:
             entry.relations.append((m.kind, m.target))
         entry.annotations = other_annotations(iri)
@@ -258,11 +258,11 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             continue
         if isinstance(t.object, IRI):
             axiom_entries.append(
-                AxiomEntry(_AXIOM_KINDS[t.predicate], t.subject, _render_term(t.object, table), t.object)
+                AxiomEntry(_AXIOM_KINDS[t.predicate], t.subject, render(t.object), t.object)
             )
         elif isinstance(t.object, BlankNode):
             axiom_entries.append(
-                AxiomEntry(_AXIOM_KINDS[t.predicate], t.subject, _pretty_blank(g, t.object, table), None)
+                AxiomEntry(_AXIOM_KINDS[t.predicate], t.subject, _pretty_blank(g, t.object, render), None)
             )
     axiom_entries.sort(key=lambda a: (term_sort_key(a.subject), a.kind, a.object_text))
 

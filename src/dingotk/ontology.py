@@ -8,7 +8,7 @@ loading; concurrent readers are safe.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .terms import (
     BlankNode,
@@ -235,33 +235,43 @@ def _check_class_cycles(classes: dict, equivalences: list) -> None:
             if source != target:
                 edges.setdefault(source, set()).add(target)
 
-    # iterative three-color DFS; a back edge is a strict cycle
+    roots = sorted({find(c) for c in classes}, key=term_sort_key)
+    cycle = find_cycle(roots, lambda node: sorted(edges.get(node, ()), key=term_sort_key))
+    if cycle is not None:
+        cycle_reps = set(cycle)
+        raise SubclassCycleError([c for c in classes if find(c) in cycle_reps])
+
+
+def find_cycle(roots: Iterable, successors: Callable[[Any], Iterable]) -> Optional[list]:
+    """The first cycle a depth-first walk from roots meets, or None.
+
+    The walk visits roots and each node's successors in the order given. It
+    is iterative (three colours and an explicit stack), so the depth of a
+    chain is not bounded by the recursion limit. A cycle comes back as the
+    path from the node the back edge reaches to the node it leaves.
+    """
     WHITE, GRAY, BLACK = 0, 1, 2
-    color = {node: WHITE for node in parent.values()}
-    for root in sorted({find(c) for c in classes}, key=term_sort_key):
-        if color[root] != WHITE:
+    color: dict = {}
+    for root in roots:
+        if color.get(root, WHITE) != WHITE:
             continue
-        stack = [(root, iter(sorted(edges.get(root, ()), key=term_sort_key)))]
         color[root] = GRAY
         path = [root]
+        stack = [iter(successors(root))]
         while stack:
-            node, children = stack[-1]
-            advanced = False
-            for child in children:
-                if color[child] == GRAY:
-                    cycle_reps = set(path[path.index(child) :])
-                    members = [c for c in classes if find(c) in cycle_reps]
-                    raise SubclassCycleError(members)
-                if color[child] == WHITE:
+            for child in stack[-1]:
+                state = color.get(child, WHITE)
+                if state == GRAY:
+                    return path[path.index(child) :]
+                if state == WHITE:
                     color[child] = GRAY
                     path.append(child)
-                    stack.append((child, iter(sorted(edges.get(child, ()), key=term_sort_key))))
-                    advanced = True
+                    stack.append(iter(successors(child)))
                     break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
+            else:
+                color[path.pop()] = BLACK
                 stack.pop()
+    return None
 
 
 def load_ontology(g: Graph) -> OntologySchema:

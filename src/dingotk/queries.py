@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dates import compare_partial_dates, parse_partial_date
-from .ontology import DINGO_BASE, DingoTerms, OntologySchema
+from .ontology import DINGO_BASE, DingoTerms, OntologySchema, find_cycle
 from .terms import DingoError, Graph, IRI, Literal, Term, term_sort_key
 
 
@@ -178,24 +178,11 @@ def scheme_ancestry(
     order inside each layer; a node appears once at its shallowest depth.
     Cyclic parent data raises SchemeCycleError naming the members.
     """
-    # cycle detection over the reachable parent subgraph
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict = {}
-    path: list = []
-
-    def visit(node: Term) -> None:
-        color[node] = GRAY
-        path.append(node)
-        for parent in sorted(_parents_of(data, node, conventions), key=term_sort_key):
-            state = color.get(parent, WHITE)
-            if state == GRAY:
-                raise SchemeCycleError(path[path.index(parent) :])
-            if state == WHITE:
-                visit(parent)
-        color[node] = BLACK
-        path.pop()
-
-    visit(scheme)
+    cycle = find_cycle(
+        [scheme], lambda node: sorted(_parents_of(data, node, conventions), key=term_sort_key)
+    )
+    if cycle is not None:
+        raise SchemeCycleError(cycle)
 
     ancestry: list = []
     seen = {scheme}

@@ -14,8 +14,7 @@ graphs always produce byte-identical Turtle.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Mapping, Optional
 from urllib.parse import urljoin
 
 from .terms import (
@@ -61,292 +60,240 @@ class RelativeIriError(TurtleParseError):
     pass
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str
-    value: object
-    line: int
-    column: int
-
-    @property
-    def text(self) -> str:
-        if self.kind == "pname":
-            prefix, local = self.value  # type: ignore[misc]
-            return f"{prefix}:{local}"
-        return str(self.value) if self.value is not None else self.kind
-
+# A token is a (kind, value, offset) tuple. The kinds are the punctuation
+# characters . ; , [ ] ( ), "^^", "iriref", "string", "langtag",
+# "at_prefix", "at_base", "integer", "decimal", "double", "boolean", "a",
+# "sparql_prefix", "sparql_base", "blank", "pname" and "eof". The value is
+# the token's decoded text (a prefixed name keeps its colon), or None where
+# the kind says it all. The offset indexes the document; line and column
+# are computed from it only when an error is raised.
 
 _ESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
-# PN_LOCAL_ESC set: characters that may appear backslash-escaped in names
-_NAME_ESCAPABLE = set("_~.-!$&'()*+,;=/?#@%")
-_HEX = set("0123456789abcdefABCDEF")
-_LANGTAG_RE = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*")
-_NUMBER_RE = re.compile(
-    r"[+-]?(?:"
-    r"(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+"  # double: exponent required
-    r"|\d*\.\d+"  # decimal: digits after the dot
-    r"|\d+"  # integer
-    r")"
+
+# numeric escapes of Unicode scalar values only: at most U+10FFFF and no
+# surrogates, which XML Char (and with it xsd:string) excludes
+_NOT_SURROGATE = r"(?![dD][89a-fA-F])"
+_UCHAR = (
+    rf"\\u{_NOT_SURROGATE}[0-9a-fA-F]{{4}}"
+    rf"|\\U(?:0000{_NOT_SURROGATE}|000[1-9a-fA-F]|0010)[0-9a-fA-F]{{4}}"
 )
+_STRING_ESCAPE = rf"""\\[tbnrf"'\\]|{_UCHAR}"""
+# PN_LOCAL_ESC: characters that may appear backslash-escaped in names
+_NAME_ESCAPE = r"\\[_~.!$&'()*+,;=/?\#@%-]"
+# \w is exactly str.isalnum() plus "_". A name does not end in an unescaped
+# dot: that dot is the statement terminator.
+_NAME = rf"(?:[\w%:-]|{_NAME_ESCAPE})[\w%:.-]*(?:(?:{_NAME_ESCAPE})[\w%:.-]*)*(?<![^\\]\.)"
+_SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 
 
-def _is_name_char(c: str) -> bool:
-    return c.isalnum() or c in "_-%"
+def _short_string(q: str) -> str:
+    # three quotes open a long string, even when that does not complete
+    return rf"(?!{q}{q}{q}){q}[^{q}\\\n\r]*(?:(?:{_STRING_ESCAPE})[^{q}\\\n\r]*)*{q}"
 
 
-class _Lexer:
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _long_string(q: str) -> str:
+    # a quote is content unless exactly two more follow it: quotes beyond the
+    # closing three of a run belong to the content
+    return rf"{q}{q}{q}[^{q}\\]*(?:(?:{_STRING_ESCAPE}|{q}(?!{q}{q}(?!{q})))[^{q}\\]*)*{q}{q}{q}"
 
-    def error(self, message: str, token: str = "") -> TurtleParseError:
-        return TurtleParseError(message, self.line, self.col, token)
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
+# One alternative per terminal, each followed by the whitespace and comments
+# before the next token. Numbers come before punctuation and names, so ".5"
+# and "-1" are numbers.
+_TOKEN_RE = re.compile(
+    rf"""
+    (?:
+        (?P<iriref><[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*>)
+      | (?P<long_string>{_long_string('"')}|{_long_string("'")})
+      | (?P<string>{_short_string('"')}|{_short_string("'")})
+      | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+      | (?P<datatype>\^\^)
+      | (?P<double>[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+)
+      | (?P<decimal>[+-]?\d*\.\d+)
+      | (?P<integer>[+-]?\d+)
+      | (?P<punct>[.;,\[\]()])
+      | (?P<blank>_:[\w%.-]*[\w%-])
+      | (?P<name>(?!_:){_NAME})
+    )
+    {_SKIP}
+    """,
+    re.VERBOSE,
+)
+_SKIP_RE = re.compile(_SKIP)
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9a-fA-F]{4})|U([0-9a-fA-F]{8})|(.))", re.DOTALL)
+
+
+def _decode_escape(match: re.Match) -> str:
+    short, long, char = match.groups()
+    if char is None:
+        return chr(int(short or long, 16))
+    return _ESCAPES.get(char, char)
+
+
+def _unescape(raw: str) -> str:
+    return _ESCAPE_RE.sub(_decode_escape, raw) if "\\" in raw else raw
+
+
+def _starts_number(text: str, pos: int) -> bool:
+    # str.isdigit() is wider than \d, so "²", ".²" and "-." start numbers
+    # that never complete
+    c, nxt = text[pos], text[pos + 1 : pos + 2]
+    if c in "+-":
+        return nxt.isdigit() or nxt == "."
+    return c.isdigit() or (c == "." and nxt.isdigit())
+
+
+def _tokenize(text: str) -> list:
+    tokens = []
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos = _SKIP_RE.match(text).end()
+    while pos < len(text):
+        m = match(text, pos)
+        if m is None:
+            raise _diagnose(text, pos)
+        group = m.lastgroup
+        raw = m[group]
+        if group == "name":
+            # of the characters that start names, only "-" and non-ASCII
+            # ones can also start numbers
+            if (raw[0] == "-" or raw[0] > "\x7f") and _starts_number(text, pos):
+                raise _diagnose(text, pos)
+            value = _unescape(raw)
+            if ":" in value:
+                kind = "pname"
+            elif value == "a":
+                kind = "a"
+            elif value in ("true", "false"):
+                kind = "boolean"
+            elif value.lower() == "prefix":
+                kind = "sparql_prefix"
+            elif value.lower() == "base":
+                kind = "sparql_base"
             else:
-                self.col += 1
-            self.pos += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.text[i] if i < len(self.text) else ""
-
-    def tokens(self) -> list[_Token]:
-        out = []
-        while True:
-            tok = self._next()
-            out.append(tok)
-            if tok.kind == "eof":
-                return out
-
-    def _next(self) -> _Token:
-        while True:
-            c = self._peek()
-            if c == "":
-                return _Token("eof", None, self.line, self.col)
-            if c in " \t\r\n":
-                self._advance()
-                continue
-            if c == "#":
-                while self._peek() not in ("", "\n"):
-                    self._advance()
-                continue
-            break
-
-        line, col = self.line, self.col
-        c = self._peek()
-
-        if c == "<":
-            return self._lex_iriref(line, col)
-        if c in "\"'":
-            return self._lex_string(line, col)
-        if c == "@":
-            return self._lex_at(line, col)
-        if c == "^":
-            if self._peek(1) == "^":
-                self._advance(2)
-                return _Token("^^", None, line, col)
-            raise self.error("unexpected '^'", "^")
-        if c in ".;,[]()":
-            if c == "." and self._peek(1).isdigit():
-                return self._lex_number(line, col)
-            self._advance()
-            return _Token(c, None, line, col)
-        if c.isdigit() or (c in "+-" and (self._peek(1).isdigit() or self._peek(1) == ".")):
-            return self._lex_number(line, col)
-        if c == "_" and self._peek(1) == ":":
-            return self._lex_blank(line, col)
-        if _is_name_char(c) or c in ":\\":
-            return self._lex_name(line, col)
-        raise self.error(f"unexpected character {c!r}", c)
-
-    def _lex_iriref(self, line: int, col: int) -> _Token:
-        self._advance()  # <
-        parts = []
-        while True:
-            c = self._peek()
-            if c == "":
-                raise self.error("unterminated IRI")
-            if c == ">":
-                self._advance()
-                return _Token("iriref", "".join(parts), line, col)
-            if c == "\n":
-                raise self.error("newline inside IRI")
-            if c == "\\":
-                parts.append(self._read_uchar())
-                continue
-            parts.append(c)
-            self._advance()
-
-    def _read_uchar(self) -> str:
-        # numeric escape: \uXXXX or \UXXXXXXXX
-        self._advance()  # backslash
-        kind = self._peek()
-        width = {"u": 4, "U": 8}.get(kind)
-        if width is None:
-            raise self.error(f"invalid escape '\\{kind}' in IRI")
-        self._advance()
-        digits = ""
-        for _ in range(width):
-            if self._peek() not in _HEX:
-                raise self.error("truncated numeric escape")
-            digits += self._peek()
-            self._advance()
-        return chr(int(digits, 16))
-
-    def _lex_string(self, line: int, col: int) -> _Token:
-        quote = self._peek()
-        if self._peek(1) == quote and self._peek(2) == quote:
-            return self._lex_long_string(quote, line, col)
-        self._advance()
-        parts = []
-        while True:
-            c = self._peek()
-            if c in ("", "\n", "\r"):
-                raise self.error("unterminated string")
-            if c == quote:
-                self._advance()
-                return _Token("string", "".join(parts), line, col)
-            if c == "\\":
-                parts.append(self._read_string_escape())
-                continue
-            parts.append(c)
-            self._advance()
-
-    def _lex_long_string(self, quote: str, line: int, col: int) -> _Token:
-        self._advance(3)
-        parts = []
-        while True:
-            c = self._peek()
-            if c == "":
-                raise self.error("unterminated triple-quoted string")
-            if c == quote:
-                run = 0
-                while self._peek(run) == quote:
-                    run += 1
-                if run >= 3:
-                    # quotes beyond the closing three belong to the content
-                    parts.append(quote * (run - 3))
-                    self._advance(run)
-                    return _Token("string", "".join(parts), line, col)
-                parts.append(quote * run)
-                self._advance(run)
-                continue
-            if c == "\\":
-                parts.append(self._read_string_escape())
-                continue
-            parts.append(c)
-            self._advance()
-
-    def _read_string_escape(self) -> str:
-        self._advance()  # backslash
-        c = self._peek()
-        if c in _ESCAPES:
-            self._advance()
-            return _ESCAPES[c]
-        if c in ("u", "U"):
-            self.pos -= 1
-            self.col -= 1
-            return self._read_uchar()
-        raise self.error(f"invalid string escape '\\{c}'")
-
-    def _lex_at(self, line: int, col: int) -> _Token:
-        self._advance()  # @
-        match = _LANGTAG_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("expected language tag or directive after '@'")
-        word = match.group()
-        self._advance(len(word))
-        if word == "prefix":
-            return _Token("at_prefix", None, line, col)
-        if word == "base":
-            return _Token("at_base", None, line, col)
-        return _Token("langtag", word, line, col)
-
-    def _lex_number(self, line: int, col: int) -> _Token:
-        match = _NUMBER_RE.match(self.text, self.pos)
-        if not match:
-            raise self.error("malformed number")
-        lexical = match.group()
-        self._advance(len(lexical))
-        if "e" in lexical or "E" in lexical:
-            kind = "double"
-        elif "." in lexical:
-            kind = "decimal"
+                raise _diagnose(text, pos)
+        elif group == "punct":
+            if raw == "." and _starts_number(text, pos):
+                raise _diagnose(text, pos)
+            kind, value = raw, None
+        elif group == "iriref":
+            kind, value = "iriref", _unescape(raw[1:-1])
+        elif group == "string":
+            kind, value = "string", _unescape(raw[1:-1])
+        elif group == "long_string":
+            kind, value = "string", _unescape(raw[3:-3])
+        elif group == "at":
+            kind, value = "langtag", raw[1:]
+            if value in ("prefix", "base"):
+                kind, value = "at_" + value, None
+        elif group == "blank":
+            kind, value = "blank", raw[2:]
+        elif group == "datatype":
+            kind, value = "^^", None
         else:
-            kind = "integer"
-        return _Token(kind, lexical, line, col)
+            kind, value = group, raw
+        append((kind, value, pos))
+        pos = m.end()
+    append(("eof", None, pos))
+    return tokens
 
-    def _lex_blank(self, line: int, col: int) -> _Token:
-        self._advance(2)  # _:
-        chars: list[str] = []
-        while _is_name_char(self._peek()) or self._peek() == ".":
-            chars.append(self._peek())
-            self._advance()
-        while chars and chars[-1] == ".":
-            chars.pop()
-            self.pos -= 1
-            self.col -= 1
-        if not chars:
-            raise self.error("empty blank node label")
-        return _Token("blank", "".join(chars), line, col)
 
-    def _lex_name(self, line: int, col: int) -> _Token:
-        # prefixed name, or a bare word (a / true / false / PREFIX / BASE)
-        chars: list[str] = []
-        escaped: list[bool] = []
-        while True:
-            c = self._peek()
-            if c == "\\":
-                nxt = self._peek(1)
-                if nxt not in _NAME_ESCAPABLE:
-                    raise self.error(f"invalid name escape '\\{nxt}'")
-                chars.append(nxt)
-                escaped.append(True)
-                self._advance(2)
-                continue
-            if c and (_is_name_char(c) or c in ":."):
-                chars.append(c)
-                escaped.append(False)
-                self._advance()
-                continue
-            break
-        # a trailing unescaped dot is the statement terminator, not name material
-        while chars and chars[-1] == "." and not escaped[-1]:
-            chars.pop()
-            escaped.pop()
-            self.pos -= 1
-            self.col -= 1
-        if not chars:
-            raise self.error("expected a term")
-        colon = None
-        for i, (ch, esc) in enumerate(zip(chars, escaped)):
-            if ch == ":" and not esc:
-                colon = i
-                break
-        word = "".join(chars)
-        if colon is None:
-            if word == "a":
-                return _Token("a", "a", line, col)
-            if word in ("true", "false"):
-                return _Token("boolean", word, line, col)
-            if word.lower() == "prefix":
-                return _Token("sparql_prefix", word, line, col)
-            if word.lower() == "base":
-                return _Token("sparql_base", word, line, col)
-            raise TurtleParseError("unexpected bare word", line, col, word)
-        return _Token("pname", (word[:colon], word[colon + 1 :]), line, col)
+def _error_at(
+    text: str, offset: int, message: str, token: str = "", cls: type = TurtleParseError
+) -> TurtleParseError:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return cls(message, line, column, token)
+
+
+_BODY_RUN = {
+    "<": re.compile(r"[^>\n\\]*"),
+    '"': re.compile(r'[^"\\\n\r]*'),
+    "'": re.compile(r"[^'\\\n\r]*"),
+    '"""': re.compile(r'[^"\\]*'),
+    "'''": re.compile(r"[^'\\]*"),
+}
+_HEX_RUN = re.compile(r"[0-9a-fA-F]*")
+_NAME_RE = re.compile(_NAME)
+_DOTS_THEN_BACKSLASH = re.compile(r"\.*\\")
+
+
+def _diagnose(text: str, pos: int) -> TurtleParseError:
+    """The error for the token at pos, which starts but does not complete.
+
+    Reads the token from the left up to its first fault and places the
+    error there: an escape at its letter (at its backslash in names and
+    for out-of-range values), a token cut short where its input ends.
+    """
+    c, nxt = text[pos], text[pos + 1 : pos + 2]
+    if c == "<":
+        return _body_error(text, pos, "<")
+    if c in "\"'":
+        return _body_error(text, pos, c * 3 if text.startswith(c * 3, pos) else c)
+    if c == "@":
+        return _error_at(text, pos + 1, "expected language tag or directive after '@'")
+    if c == "^":
+        return _error_at(text, pos, "unexpected '^'", "^")
+    if _starts_number(text, pos):
+        return _error_at(text, pos, "malformed number")
+    if c == "_" and nxt == ":":
+        return _error_at(text, pos + 2, "empty blank node label")
+    if c.isalnum() or c in "_-%:\\":
+        name = _NAME_RE.match(text, pos)
+        escape = _DOTS_THEN_BACKSLASH.match(text, name.end() if name else pos)
+        if escape:
+            backslash = escape.end() - 1
+            letter = text[backslash + 1 : backslash + 2]
+            return _error_at(text, backslash, f"invalid name escape '\\{letter}'")
+        return _error_at(text, pos, "unexpected bare word", _unescape(name[0]))
+    return _error_at(text, pos, f"unexpected character {c!r}", c)
+
+
+def _body_error(text: str, pos: int, opener: str) -> TurtleParseError:
+    # the first fault inside the IRI or string whose opener starts at pos
+    run = _BODY_RUN[opener]
+    p = pos + len(opener)
+    while True:
+        p = run.match(text, p).end()
+        if text.startswith("\\", p):
+            error = _escape_error(text, p, opener == "<")
+            if error:
+                return error
+            p += {"u": 6, "U": 10}.get(text[p + 1], 2)
+        elif len(opener) == 3 and text.startswith(opener[0], p):
+            p += 1  # fewer than three quotes in a row are content
+        elif opener == "<":
+            message = "newline inside IRI" if text.startswith("\n", p) else "unterminated IRI"
+            return _error_at(text, p, message)
+        elif len(opener) == 1:
+            return _error_at(text, p, "unterminated string")
+        else:
+            return _error_at(text, p, "unterminated triple-quoted string")
+
+
+def _escape_error(text: str, backslash: int, in_iri: bool) -> Optional[TurtleParseError]:
+    letter = text[backslash + 1 : backslash + 2]
+    if letter in ("u", "U"):
+        end = backslash + (6 if letter == "u" else 10)
+        digits = _HEX_RUN.match(text, backslash + 2, end).end()
+        if digits < end:
+            return _error_at(text, digits, "truncated numeric escape")
+        code = int(text[backslash + 2 : end], 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            escape = text[backslash:end]
+            return _error_at(text, backslash, f"numeric escape '{escape}' is not a Unicode character")
+        return None
+    if in_iri:
+        return _error_at(text, backslash + 1, f"invalid escape '\\{letter}' in IRI")
+    if letter not in _ESCAPES:
+        return _error_at(text, backslash + 1, f"invalid string escape '\\{letter}'")
+    return None
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], base: Optional[str]) -> None:
+    def __init__(self, tokens: list, text: str, base: Optional[str]) -> None:
         self.tokens = tokens
+        self.text = text
         self.i = 0
         self.base = base
         self.prefixes: dict[str, str] = {}
@@ -356,24 +303,24 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple:
         return self.tokens[self.i]
 
-    def _take(self) -> _Token:
+    def _take(self) -> tuple:
         tok = self.tokens[self.i]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.i += 1
         return tok
 
-    def _expect(self, kind: str, what: str) -> _Token:
+    def _expect(self, kind: str, what: str) -> tuple:
         tok = self._take()
-        if tok.kind != kind:
-            raise TurtleParseError(f"expected {what}", tok.line, tok.column, tok.text)
+        if tok[0] != kind:
+            raise self._error(f"expected {what}", tok)
         return tok
 
-    @staticmethod
-    def _error(message: str, tok: _Token) -> TurtleParseError:
-        return TurtleParseError(message, tok.line, tok.column, tok.text)
+    def _error(self, message: str, tok: tuple, cls: type = TurtleParseError) -> TurtleParseError:
+        kind, value, offset = tok
+        return _error_at(self.text, offset, message, kind if value is None else value, cls)
 
     # -- blank node bookkeeping --------------------------------------------
 
@@ -389,46 +336,42 @@ class _Parser:
 
     # -- IRI resolution ----------------------------------------------------
 
-    def _resolve_iri(self, raw: str, tok: _Token) -> IRI:
+    def _resolve_iri(self, raw: str, tok: tuple) -> IRI:
         if not is_absolute_iri(raw):
             if self.base is None:
-                raise RelativeIriError(
-                    f"relative IRI {raw!r} without a base", tok.line, tok.column, tok.text
-                )
+                raise self._error(f"relative IRI {raw!r} without a base", tok, RelativeIriError)
             raw = urljoin(self.base, raw)
         try:
             return IRI(raw)
         except ValueError as exc:
-            raise TurtleParseError(str(exc), tok.line, tok.column, tok.text) from None
+            raise self._error(str(exc), tok) from None
 
-    def _expand_pname(self, tok: _Token) -> IRI:
-        prefix, local = tok.value  # type: ignore[misc]
+    def _expand_pname(self, tok: tuple) -> IRI:
+        prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
-            raise UndefinedPrefixError(
-                f"undefined prefix {prefix + ':'!r}", tok.line, tok.column, tok.text
-            )
+            raise self._error(f"undefined prefix {prefix + ':'!r}", tok, UndefinedPrefixError)
         try:
             return IRI(self.prefixes[prefix] + local)
         except ValueError as exc:
-            raise TurtleParseError(str(exc), tok.line, tok.column, tok.text) from None
+            raise self._error(str(exc), tok) from None
 
     # -- grammar -----------------------------------------------------------
 
     def parse_document(self) -> None:
         while True:
             tok = self._peek()
-            if tok.kind == "eof":
+            if tok[0] == "eof":
                 return
-            if tok.kind == "at_prefix":
+            if tok[0] == "at_prefix":
                 self._take()
                 self._parse_prefix_decl(dotted=True)
-            elif tok.kind == "at_base":
+            elif tok[0] == "at_base":
                 self._take()
                 self._parse_base_decl(dotted=True)
-            elif tok.kind == "sparql_prefix":
+            elif tok[0] == "sparql_prefix":
                 self._take()
                 self._parse_prefix_decl(dotted=False)
-            elif tok.kind == "sparql_base":
+            elif tok[0] == "sparql_base":
                 self._take()
                 self._parse_base_decl(dotted=False)
             else:
@@ -437,32 +380,32 @@ class _Parser:
 
     def _parse_prefix_decl(self, dotted: bool) -> None:
         name = self._expect("pname", "prefix name")
-        prefix, local = name.value  # type: ignore[misc]
+        prefix, _, local = name[1].partition(":")
         if local:
             raise self._error("prefix declaration must end with ':'", name)
         iri_tok = self._expect("iriref", "namespace IRI")
-        namespace = self._resolve_iri(str(iri_tok.value), iri_tok)
+        namespace = self._resolve_iri(iri_tok[1], iri_tok)
         self.prefixes[prefix] = namespace.value
         if dotted:
             self._expect(".", "'.' after @prefix")
 
     def _parse_base_decl(self, dotted: bool) -> None:
         iri_tok = self._expect("iriref", "base IRI")
-        self.base = self._resolve_iri(str(iri_tok.value), iri_tok).value
+        self.base = self._resolve_iri(iri_tok[1], iri_tok).value
         if dotted:
             self._expect(".", "'.' after @base")
 
     def _parse_triples(self) -> None:
         tok = self._peek()
-        if tok.kind == "[":
-            if self.tokens[self.i + 1].kind == "]":
+        if tok[0] == "[":
+            if self.tokens[self.i + 1][0] == "]":
                 self._take()
                 self._take()
                 subject: Term = self._fresh_blank()
                 self._parse_predicate_object_list(subject)
                 return
             subject = self._parse_blank_node_property_list()
-            if self._peek().kind != ".":
+            if self._peek()[0] != ".":
                 self._parse_predicate_object_list(subject)
             return
         subject = self._parse_subject()
@@ -470,13 +413,13 @@ class _Parser:
 
     def _parse_subject(self) -> Term:
         tok = self._take()
-        if tok.kind == "iriref":
-            return self._resolve_iri(str(tok.value), tok)
-        if tok.kind == "pname":
+        if tok[0] == "iriref":
+            return self._resolve_iri(tok[1], tok)
+        if tok[0] == "pname":
             return self._expand_pname(tok)
-        if tok.kind == "blank":
-            return self._labeled_blank(str(tok.value))
-        if tok.kind == "(":
+        if tok[0] == "blank":
+            return self._labeled_blank(tok[1])
+        if tok[0] == "(":
             return self._parse_collection()
         raise self._error("expected subject", tok)
 
@@ -486,65 +429,65 @@ class _Parser:
             while True:
                 obj = self._parse_object()
                 self.triples.append(Triple(subject, predicate, obj))
-                if self._peek().kind == ",":
+                if self._peek()[0] == ",":
                     self._take()
                     continue
                 break
-            if self._peek().kind == ";":
-                while self._peek().kind == ";":
+            if self._peek()[0] == ";":
+                while self._peek()[0] == ";":
                     self._take()
-                if self._peek().kind in (".", "]"):
+                if self._peek()[0] in (".", "]"):
                     return  # trailing semicolon
                 continue
             return
 
     def _parse_verb(self) -> IRI:
         tok = self._take()
-        if tok.kind == "a":
+        if tok[0] == "a":
             return RDF_TYPE
-        if tok.kind == "iriref":
-            return self._resolve_iri(str(tok.value), tok)
-        if tok.kind == "pname":
+        if tok[0] == "iriref":
+            return self._resolve_iri(tok[1], tok)
+        if tok[0] == "pname":
             return self._expand_pname(tok)
         raise self._error("expected predicate", tok)
 
     def _parse_object(self) -> Term:
         tok = self._peek()
-        if tok.kind == "iriref":
+        if tok[0] == "iriref":
             self._take()
-            return self._resolve_iri(str(tok.value), tok)
-        if tok.kind == "pname":
+            return self._resolve_iri(tok[1], tok)
+        if tok[0] == "pname":
             self._take()
             return self._expand_pname(tok)
-        if tok.kind == "blank":
+        if tok[0] == "blank":
             self._take()
-            return self._labeled_blank(str(tok.value))
-        if tok.kind == "[":
+            return self._labeled_blank(tok[1])
+        if tok[0] == "[":
             self._take()
-            if self._peek().kind == "]":
+            if self._peek()[0] == "]":
                 self._take()
                 return self._fresh_blank()
             node = self._fresh_blank()
             self._parse_predicate_object_list(node)
             self._expect("]", "']' closing blank node property list")
             return node
-        if tok.kind == "(":
+        if tok[0] == "(":
             self._take()
             return self._parse_collection()
-        if tok.kind == "string":
+        if tok[0] == "string":
             self._take()
             return self._parse_literal_tail(tok)
-        if tok.kind in ("integer", "decimal", "double"):
+        if tok[0] in ("integer", "decimal", "double"):
             self._take()
             datatype = {
                 "integer": XSD_INTEGER,
                 "decimal": XSD_DECIMAL,
                 "double": XSD_DOUBLE,
-            }[tok.kind]
-            return Literal(str(tok.value), datatype)
-        if tok.kind == "boolean":
+            }[tok[0]]
+            return Literal(tok[1], datatype)
+        if tok[0] == "boolean":
             self._take()
-            return Literal(str(tok.value), XSD_BOOLEAN)
+            return Literal(tok[1], XSD_BOOLEAN)
         raise self._error("expected object", self._take())
 
     def _parse_blank_node_property_list(self) -> BlankNode:
@@ -556,7 +499,7 @@ class _Parser:
 
     def _parse_collection(self) -> Term:
         # caller consumed '('
-        if self._peek().kind == ")":
+        if self._peek()[0] == ")":
             self._take()
             return RDF_NIL
         head = self._fresh_blank()
@@ -570,30 +513,30 @@ class _Parser:
             first = False
             element = self._parse_object()
             self.triples.append(Triple(cell, RDF_FIRST, element))
-            if self._peek().kind == ")":
+            if self._peek()[0] == ")":
                 self._take()
                 self.triples.append(Triple(cell, RDF_REST, RDF_NIL))
                 return head
 
-    def _parse_literal_tail(self, string_tok: _Token) -> Literal:
-        lexical = str(string_tok.value)
+    def _parse_literal_tail(self, string_tok: tuple) -> Literal:
+        lexical = string_tok[1]
         nxt = self._peek()
-        if nxt.kind == "langtag":
+        if nxt[0] == "langtag":
             self._take()
-            return Literal(lexical, RDF_LANG_STRING, str(nxt.value))
-        if nxt.kind == "^^":
+            return Literal(lexical, RDF_LANG_STRING, nxt[1])
+        if nxt[0] == "^^":
             self._take()
             dt_tok = self._take()
-            if dt_tok.kind == "iriref":
-                datatype = self._resolve_iri(str(dt_tok.value), dt_tok)
-            elif dt_tok.kind == "pname":
+            if dt_tok[0] == "iriref":
+                datatype = self._resolve_iri(dt_tok[1], dt_tok)
+            elif dt_tok[0] == "pname":
                 datatype = self._expand_pname(dt_tok)
             else:
                 raise self._error("expected datatype IRI after '^^'", dt_tok)
             try:
                 return Literal(lexical, datatype.value)
             except ValueError as exc:
-                raise TurtleParseError(str(exc), dt_tok.line, dt_tok.column, dt_tok.text) from None
+                raise self._error(str(exc), dt_tok) from None
         return Literal(lexical, XSD_STRING)
 
 
@@ -603,8 +546,8 @@ def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
     Raises TurtleParseError (or a subclass) with 1-based line/column on any
     malformed input; never returns a partial graph.
     """
-    lexer = _Lexer(document.lstrip("﻿"))
-    parser = _Parser(lexer.tokens(), base)
+    text = document.lstrip("﻿")
+    parser = _Parser(_tokenize(text), text, base)
     parser.parse_document()
     return Graph(parser.triples, parser.prefixes)
 
@@ -641,21 +584,32 @@ def _escape_string(text: str) -> str:
     return "".join(parts)
 
 
-def _abbreviation_table(prefixes) -> list[tuple[str, str]]:
-    # longest namespace wins; ties go to the lexicographically smallest prefix
-    return sorted(prefixes.items(), key=lambda item: (-len(item[1]), item[0]))
+def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
+    """A function that writes a term as Turtle, abbreviating IRIs with prefixes.
+
+    The longest matching namespace wins; ties go to the lexicographically
+    smallest prefix. An IRI whose remainder is not a safe local name is
+    written in full.
+    """
+    table = sorted(prefixes.items(), key=lambda item: (-len(item[1]), item[0]))
+
+    def render_iri(value: str) -> str:
+        for prefix, namespace in table:
+            if value.startswith(namespace) and _PN_LOCAL_OK.match(value[len(namespace) :]):
+                return f"{prefix}:{value[len(namespace) :]}"
+        return f"<{value}>"
+
+    def render(term: Term) -> str:
+        if isinstance(term, IRI):
+            return render_iri(term.value)
+        if isinstance(term, BlankNode):
+            return f"_:{term.label}"
+        return _render_literal(term, render_iri)
+
+    return render
 
 
-def _render_iri(iri: IRI, table: list[tuple[str, str]]) -> str:
-    for prefix, namespace in table:
-        if iri.value.startswith(namespace):
-            local = iri.value[len(namespace) :]
-            if _PN_LOCAL_OK.match(local):
-                return f"{prefix}:{local}"
-    return f"<{iri.value}>"
-
-
-def _render_literal(literal: Literal, table: list[tuple[str, str]]) -> str:
+def _render_literal(literal: Literal, render_iri: Callable[[str], str]) -> str:
     if literal.language:
         return f'"{_escape_string(literal.lexical)}"@{literal.language}'
     dt = literal.datatype
@@ -669,15 +623,7 @@ def _render_literal(literal: Literal, table: list[tuple[str, str]]) -> str:
         return literal.lexical
     if dt == XSD_BOOLEAN and literal.lexical in ("true", "false"):
         return literal.lexical
-    return f'"{_escape_string(literal.lexical)}"^^{_render_iri(IRI(dt), table)}'
-
-
-def _render_term(term: Term, table: list[tuple[str, str]]) -> str:
-    if isinstance(term, IRI):
-        return _render_iri(term, table)
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    return _render_literal(term, table)
+    return f'"{_escape_string(literal.lexical)}"^^{render_iri(dt)}'
 
 
 def serialize_turtle(graph: Graph) -> str:
@@ -686,7 +632,7 @@ def serialize_turtle(graph: Graph) -> str:
     Identical graphs serialize to identical bytes; parse_turtle of the output
     yields a graph isomorphic to the input.
     """
-    table = _abbreviation_table(graph.prefixes)
+    render = term_renderer(graph.prefixes)
     lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(graph.prefixes.items())]
 
     by_subject: dict[Term, dict[IRI, list[Term]]] = {}
@@ -698,11 +644,11 @@ def serialize_turtle(graph: Graph) -> str:
         groups = by_subject[subject]
         parts = []
         for predicate in sorted(groups, key=predicate_sort_key):
-            rendered_pred = "a" if predicate == RDF_TYPE else _render_iri(predicate, table)
+            rendered_pred = "a" if predicate == RDF_TYPE else render(predicate)
             objects = sorted(groups[predicate], key=term_sort_key)
-            rendered_objs = ", ".join(_render_term(o, table) for o in objects)
+            rendered_objs = ", ".join(render(o) for o in objects)
             parts.append(f"{rendered_pred} {rendered_objs}")
-        blocks.append(f"{_render_term(subject, table)} " + " ;\n    ".join(parts) + " .")
+        blocks.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
 
     if lines and blocks:
         lines.append("")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dingotk import queries
 from dingotk.cli import format_term, run
 from dingotk.ontology import DINGO_BASE, DingoTerms
 from dingotk.queries import grants_funding_project, scheme_ancestry
@@ -200,6 +201,61 @@ def test_query_json_format(data_file, capsys):
     assert run(["query", "grants-of", data_file, "--node", "http://x/p1", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"results": ["<http://x/g1>", "<http://x/g2>"]}
+
+
+EX = "http://example.org/data/"
+
+
+def _terms(found):
+    return [format_term(t) for t in found]
+
+
+def _participations(found):
+    return [f"{format_term(p.agent)}\t{format_term(p.role) if p.role else '-'}" for p in found]
+
+
+def _temporal(found):
+    return [
+        f"[{v.code}] {format_term(v.node)} <{v.property_pair[0].value}> {v.start_value!r} "
+        f"> <{v.property_pair[1].value}> {v.end_value!r}"
+        for v in found
+    ]
+
+
+# subquery, focus node in the bundled example, expected stdout lines from the
+# in-process query
+QUERY_CASES = [
+    ("grants-of", "project-qsense",
+     lambda d, s, n: _terms(sorted(queries.grants_funding_project(d, s, n), key=format_term))),
+    ("projects-of", "grant-801001",
+     lambda d, s, n: _terms(sorted(queries.projects_funded_by(d, s, n), key=format_term))),
+    ("ancestry", "erc-stg-2019", lambda d, s, n: _terms(queries.scheme_ancestry(d, n))),
+    ("criteria", "erc-stg-2019",
+     lambda d, s, n: _terms(sorted(queries.criteria_for_scheme(d, n), key=format_term))),
+    ("participants", "project-qsense",
+     lambda d, s, n: _participations(queries.participants_with_roles(d, s, n))),
+    ("beneficiaries", "grant-801001",
+     lambda d, s, n: _terms(sorted(queries.beneficiaries_of(d, n), key=format_term))),
+    ("non-beneficiary-participants", "project-qsense",
+     lambda d, s, n: _terms(sorted(queries.non_beneficiary_participants(d, s, n), key=format_term))),
+    ("temporal-check", None, lambda d, s, n: _temporal(queries.check_temporal(d))),
+]
+
+
+@pytest.mark.parametrize("subquery, node, expected", QUERY_CASES, ids=[c[0] for c in QUERY_CASES])
+def test_every_query_subcommand_matches_in_process_results(
+    tmp_path, capsys, snapshot_schema, subquery, node, expected
+):
+    from dingotk import IRI
+
+    path = tmp_path / "example.ttl"
+    path.write_text(embedded("example_instances.ttl"), encoding="utf-8")
+    argv = ["query", subquery, str(path)] + (["--node", EX + node] if node else [])
+    data = parse_turtle(embedded("example_instances.ttl"))
+    lines = expected(data, snapshot_schema, IRI(EX + node) if node else None)
+    assert run(argv) == (1 if subquery == "temporal-check" and lines else 0)
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+    assert lines or subquery == "temporal-check"
 
 
 def test_ingest_end_to_end(tmp_path, capsys):

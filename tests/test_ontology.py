@@ -16,6 +16,7 @@ from dingotk.ontology import (
     SubclassCycleError,
     UnknownClassError,
     UnknownTermError,
+    find_cycle,
     load_ontology,
 )
 from dingotk.terms import Graph, IRI, RDF_TYPE, Triple
@@ -72,6 +73,19 @@ def test_mutually_equivalent_subclass_cycle_is_permitted():
 def test_self_loop_is_a_cycle():
     with pytest.raises(SubclassCycleError):
         load_ontology(parse_turtle(onto("ex:A a owl:Class ; rdfs:subClassOf ex:A .")))
+
+
+def test_find_cycle_returns_the_path_of_the_first_back_edge():
+    edges = {"a": ["b"], "b": ["c", "d"], "c": [], "d": ["e"], "e": ["b"]}
+    assert find_cycle(["a"], edges.__getitem__) == ["b", "d", "e"]
+    assert find_cycle(["c", "a"], edges.__getitem__) == ["b", "d", "e"]
+    assert find_cycle(["x"], {"x": ["x"]}.__getitem__) == ["x"]
+
+
+def test_find_cycle_is_none_on_an_acyclic_graph_of_any_depth():
+    diamond = {"a": ["b", "c"], "b": ["d"], "c": ["d"], "d": []}
+    assert find_cycle(["a"], diamond.__getitem__) is None
+    assert find_cycle(range(3), lambda n: [n + 1] if n < 20_000 else []) is None
 
 
 def test_conflicting_property_kinds_rejected():

@@ -381,6 +381,14 @@ def test_scheme_chain_ancestry():
     assert scheme_ancestry(SCHEME_CHAIN, iri("s1")) == []
 
 
+def test_deep_scheme_chain_ancestry():
+    # deeper than the recursion limit: s5000 -> s4999 -> ... -> s0
+    chain = Graph(Triple(iri(f"s{i + 1}"), D.subscheme_of, iri(f"s{i}")) for i in range(5000))
+    ancestry = scheme_ancestry(chain, iri("s5000"))
+    assert len(ancestry) == 5000
+    assert ancestry[0] == iri("s4999") and ancestry[-1] == iri("s0")
+
+
 def test_scheme_diamond_breadth_first_layering():
     assert scheme_ancestry(SCHEME_DIAMOND, iri("s")) == [iri("pa"), iri("pb"), iri("root")]
 

@@ -244,6 +244,40 @@ def test_lexer_errors_carry_message_and_position(document, cls, line, column, me
     assert str(err.value) == f"line {line}, column {column}: {message}"
 
 
+@pytest.mark.parametrize(
+    "document, line, column, escape",
+    [
+        ('<http://x/s> <http://x/p> "\\U00110000" .', 1, 28, "\\U00110000"),
+        ('<http://x/s> <http://x/p> "ok \\uD800" .', 1, 31, "\\uD800"),
+        ("<http://x/s> <http://x/p> '''a\n\\U0000dfff''' .", 2, 1, "\\U0000dfff"),
+        ("<http://x/\\udc00> <http://x/p> 1 .", 1, 11, "\\udc00"),
+        ("<http://x/s>\n<http://x/\\U7FFFFFFF> 1 .", 2, 11, "\\U7FFFFFFF"),
+    ],
+)
+def test_numeric_escapes_outside_unicode_scalar_values_are_positioned_errors(
+    document, line, column, escape
+):
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(document)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert f"numeric escape '{escape}' is not a Unicode character" in str(err.value)
+
+
+def test_numeric_escapes_next_to_the_excluded_ranges_parse():
+    g = parse_turtle('<http://x/s> <http://x/p> "\\uD7FF\\uE000\\U0010FFFF" .')
+    (t,) = g.triples
+    assert t.object == Literal("\ud7ff\ue000\U0010ffff", XSD_STRING)
+
+
+def test_blank_label_running_to_end_of_document():
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle("<http://x/s> <http://x/p> _:b1")
+    assert (err.value.line, err.value.column) == (1, 31)
+    assert "expected '.' after triples" in str(err.value)
+    with pytest.raises(TurtleParseError, match="empty blank node label"):
+        parse_turtle("<http://x/s> <http://x/p> _:..")
+
+
 def test_parser_totality_fuzz():
     # every input must yield a Graph or a positioned TurtleParseError
     rng = random.Random(99)

@@ -106,43 +106,59 @@ def local_name(iri: IRI) -> str:
     return re.split(r"[#/]", iri.value.rstrip("#/"))[-1]
 
 
-def _pretty_blank(g: Graph, node: BlankNode, render, seen=None) -> str:
-    """Inline Turtle-ish rendering of an anonymous node structure."""
-    seen = set(seen or ())
-    if node in seen:
-        return f"_:{node.label}"
-    seen.add(node)
+def _blank_layout(g: Graph, node: BlankNode, render) -> tuple:
+    """(brackets, separator, children) for one anonymous node.
 
-    # collection?
-    firsts = g.objects(node, RDF_FIRST)
-    rests = g.objects(node, RDF_REST)
-    if firsts and rests:
-        items = []
-        visited_cells: set = set()
+    An RDF collection lists its elements; any other node lists its
+    predicate-object pairs. A child is (text before it, term).
+    """
+    if g.objects(node, RDF_FIRST) and g.objects(node, RDF_REST):
+        elements = []
+        cells: set = set()
         current: Term = node
-        while isinstance(current, BlankNode) and current not in visited_cells:
-            visited_cells.add(current)
+        while isinstance(current, BlankNode) and current not in cells:
+            cells.add(current)
             heads = g.objects(current, RDF_FIRST)
             if not heads:
                 break
-            items.append(_pretty_term(g, heads[0], render, seen))
-            nxt = g.objects(current, RDF_REST)
-            current = nxt[0] if nxt else RDF_NIL
-            if current == RDF_NIL:
+            elements.append(("", heads[0]))
+            rests = g.objects(current, RDF_REST)
+            current = rests[0] if rests else RDF_NIL
+        return "()", " ", iter(elements)
+    pairs = [
+        ("a " if t.predicate == RDF_TYPE else render(t.predicate) + " ", t.object)
+        for t in g.match(node, None, None)
+    ]
+    return "[]", " ; ", iter(pairs)
+
+
+def _pretty_blank(g: Graph, node: BlankNode, render) -> str:
+    """Inline Turtle-ish rendering of an anonymous node structure.
+
+    One walk over an explicit stack, so depth is bounded by memory only. A
+    node already on the current path renders as its label, which ends
+    cycles; a node shared by siblings renders in full each time.
+    """
+    path = {node}
+    stack = [(node, "", *_blank_layout(g, node, render), [])]
+    while True:
+        node, before, brackets, separator, children, parts = stack[-1]
+        for child_before, term in children:
+            if not isinstance(term, BlankNode):
+                parts.append(child_before + render(term))
+            elif term in path:
+                parts.append(f"{child_before}_:{term.label}")
+            else:
+                path.add(term)
+                stack.append((term, child_before, *_blank_layout(g, term, render), []))
                 break
-        return "( " + " ".join(items) + " )"
-
-    parts = []
-    for t in g.match(node, None, None):
-        pred = "a" if t.predicate == RDF_TYPE else render(t.predicate)
-        parts.append(f"{pred} {_pretty_term(g, t.object, render, seen)}")
-    return "[ " + " ; ".join(parts) + " ]"
-
-
-def _pretty_term(g: Graph, term: Term, render, seen=None) -> str:
-    if isinstance(term, BlankNode):
-        return _pretty_blank(g, term, render, seen)
-    return render(term)
+        else:
+            stack.pop()
+            path.remove(node)
+            text = f"{before}{brackets[0]} {separator.join(parts)} {brackets[1]}"
+            if not stack:
+                return text
+            stack[-1][-1].append(text)
 
 
 def _first_literal(g: Graph, subject: Term, *predicates: IRI) -> str:
@@ -184,8 +200,11 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
         for t in g.match(iri, None, None):
             if t.predicate in _STRUCTURAL_PREDICATES:
                 continue
-            target = t.object if isinstance(t.object, IRI) else None
-            out.append((t.predicate, _pretty_term(g, t.object, render), target))
+            if isinstance(t.object, BlankNode):
+                out.append((t.predicate, _pretty_blank(g, t.object, render), None))
+            else:
+                target = t.object if isinstance(t.object, IRI) else None
+                out.append((t.predicate, render(t.object), target))
         return out
 
     class_entries = []

@@ -290,6 +290,9 @@ def _escape_error(text: str, backslash: int, in_iri: bool) -> Optional[TurtlePar
     return None
 
 
+_NUMBER_DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "double": XSD_DOUBLE}
+
+
 class _Parser:
     def __init__(self, tokens: list, text: str, base: Optional[str]) -> None:
         self.tokens = tokens
@@ -396,50 +399,75 @@ class _Parser:
             self._expect(".", "'.' after @base")
 
     def _parse_triples(self) -> None:
-        tok = self._peek()
-        if tok[0] == "[":
-            if self.tokens[self.i + 1][0] == "]":
-                self._take()
-                self._take()
-                subject: Term = self._fresh_blank()
-                self._parse_predicate_object_list(subject)
-                return
-            subject = self._parse_blank_node_property_list()
-            if self._peek()[0] != ".":
-                self._parse_predicate_object_list(subject)
-            return
-        subject = self._parse_subject()
-        self._parse_predicate_object_list(subject)
+        """One statement, up to but not including its '.'.
 
-    def _parse_subject(self) -> Term:
-        tok = self._take()
-        if tok[0] == "iriref":
-            return self._resolve_iri(tok[1], tok)
-        if tok[0] == "pname":
-            return self._expand_pname(tok)
-        if tok[0] == "blank":
-            return self._labeled_blank(tok[1])
-        if tok[0] == "(":
-            return self._parse_collection()
-        raise self._error("expected subject", tok)
-
-    def _parse_predicate_object_list(self, subject: Term) -> None:
+        Every open '[ ... ]' and '( ... )' is a frame on an explicit stack,
+        so nesting depth is bounded by memory only. A predicate-object list
+        frame is [subject, predicate, bracketed]; a collection frame is
+        [head, cell]. A closed frame's node becomes the object of the frame
+        below, or, with no frame below, the statement's subject.
+        """
+        tokens = self.tokens
+        triples = self.triples
+        stack: list = []
+        frame = None  # the top frame; once the stack empties, the frame closed last
         while True:
-            predicate = self._parse_verb()
-            while True:
-                obj = self._parse_object()
-                self.triples.append(Triple(subject, predicate, obj))
-                if self._peek()[0] == ",":
-                    self._take()
+            # read one subject or object, or open a frame for it
+            tok = tokens[self.i]
+            kind = tok[0]
+            if kind == "[":
+                self.i += 1
+                if tokens[self.i][0] != "]":
+                    stack.append([self._fresh_blank(), self._parse_verb(), True])
                     continue
-                break
-            if self._peek()[0] == ";":
-                while self._peek()[0] == ";":
-                    self._take()
-                if self._peek()[0] in (".", "]"):
-                    return  # trailing semicolon
-                continue
-            return
+                self.i += 1
+                obj: Term = self._fresh_blank()
+            elif kind == "(":
+                self.i += 1
+                if tokens[self.i][0] != ")":
+                    head = self._fresh_blank()
+                    stack.append([head, head])
+                    continue
+                self.i += 1
+                obj = RDF_NIL
+            elif stack or kind in ("iriref", "pname", "blank"):
+                obj = self._parse_term()
+            else:
+                raise self._error("expected subject", tok)
+            # hand it to the top frame, closing every frame that ends here
+            while stack:
+                frame = stack[-1]
+                if len(frame) == 2:
+                    cell = frame[1]
+                    triples.append(Triple(cell, RDF_FIRST, obj))
+                    if tokens[self.i][0] != ")":
+                        frame[1] = self._fresh_blank()
+                        triples.append(Triple(cell, RDF_REST, frame[1]))
+                        break
+                    self.i += 1
+                    triples.append(Triple(cell, RDF_REST, RDF_NIL))
+                else:
+                    triples.append(Triple(frame[0], frame[1], obj))
+                    kind = tokens[self.i][0]
+                    if kind == ",":
+                        self.i += 1
+                        break
+                    if kind == ";":
+                        while tokens[self.i][0] == ";":
+                            self.i += 1
+                        if tokens[self.i][0] not in (".", "]"):  # else a trailing ';'
+                            frame[1] = self._parse_verb()
+                            break
+                    if not frame[2]:
+                        return
+                    self._expect("]", "']' closing blank node property list")
+                stack.pop()
+                obj = frame[0]
+            else:
+                # obj is the subject; after '[ ... ]' its own list is optional
+                if frame is not None and len(frame) == 3 and tokens[self.i][0] == ".":
+                    return
+                stack.append([obj, self._parse_verb(), False])
 
     def _parse_verb(self) -> IRI:
         tok = self._take()
@@ -451,72 +479,23 @@ class _Parser:
             return self._expand_pname(tok)
         raise self._error("expected predicate", tok)
 
-    def _parse_object(self) -> Term:
-        tok = self._peek()
-        if tok[0] == "iriref":
-            self._take()
+    def _parse_term(self) -> Term:
+        """A term that opens no nesting: IRI, prefixed name, labelled blank or literal."""
+        tok = self._take()
+        kind = tok[0]
+        if kind == "iriref":
             return self._resolve_iri(tok[1], tok)
-        if tok[0] == "pname":
-            self._take()
+        if kind == "pname":
             return self._expand_pname(tok)
-        if tok[0] == "blank":
-            self._take()
+        if kind == "blank":
             return self._labeled_blank(tok[1])
-        if tok[0] == "[":
-            self._take()
-            if self._peek()[0] == "]":
-                self._take()
-                return self._fresh_blank()
-            node = self._fresh_blank()
-            self._parse_predicate_object_list(node)
-            self._expect("]", "']' closing blank node property list")
-            return node
-        if tok[0] == "(":
-            self._take()
-            return self._parse_collection()
-        if tok[0] == "string":
-            self._take()
+        if kind == "string":
             return self._parse_literal_tail(tok)
-        if tok[0] in ("integer", "decimal", "double"):
-            self._take()
-            datatype = {
-                "integer": XSD_INTEGER,
-                "decimal": XSD_DECIMAL,
-                "double": XSD_DOUBLE,
-            }[tok[0]]
-            return Literal(tok[1], datatype)
-        if tok[0] == "boolean":
-            self._take()
+        if kind in _NUMBER_DATATYPES:
+            return Literal(tok[1], _NUMBER_DATATYPES[kind])
+        if kind == "boolean":
             return Literal(tok[1], XSD_BOOLEAN)
-        raise self._error("expected object", self._take())
-
-    def _parse_blank_node_property_list(self) -> BlankNode:
-        self._expect("[", "'['")
-        node = self._fresh_blank()
-        self._parse_predicate_object_list(node)
-        self._expect("]", "']' closing blank node property list")
-        return node
-
-    def _parse_collection(self) -> Term:
-        # caller consumed '('
-        if self._peek()[0] == ")":
-            self._take()
-            return RDF_NIL
-        head = self._fresh_blank()
-        cell = head
-        first = True
-        while True:
-            if not first:
-                nxt = self._fresh_blank()
-                self.triples.append(Triple(cell, RDF_REST, nxt))
-                cell = nxt
-            first = False
-            element = self._parse_object()
-            self.triples.append(Triple(cell, RDF_FIRST, element))
-            if self._peek()[0] == ")":
-                self._take()
-                self.triples.append(Triple(cell, RDF_REST, RDF_NIL))
-                return head
+        raise self._error("expected object", tok)
 
     def _parse_literal_tail(self, string_tok: tuple) -> Literal:
         lexical = string_tok[1]

@@ -1,4 +1,5 @@
 import json
+from html import escape
 
 import pytest
 
@@ -356,3 +357,25 @@ def test_docgen_writes_linked_html(tmp_path, capsys):
     assert html.startswith("<!DOCTYPE html>")
     assert 'id="class-Project"' in html
     assert html.count('class="entry"') == 40 + 68 + 4
+
+
+@pytest.mark.parametrize(
+    "opener, closer", [("[ <http://x/p> ", " ]"), ("( ", " )")], ids=["brackets", "collections"]
+)
+def test_deep_nests_convert_validate_and_document(tmp_path, capsys, opener, closer):
+    # a class whose anonymous superclass is nested 10 000 deep
+    depth = 10_000
+    path = tmp_path / "deep.ttl"
+    path.write_text(
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "<http://x/C> a owl:Class ; rdfs:subClassOf "
+        + opener * depth + "1" + closer * depth + " .\n",
+        encoding="utf-8",
+    )
+    for command in ("convert", "validate", "docgen"):
+        assert run([command, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+    # docgen renders the whole nest inline
+    assert escape(opener * depth + "1" + closer * depth) in captured.out

@@ -1,9 +1,22 @@
+import random
 import re
 from pathlib import Path
 
-from dingotk.docgen import extract_doc_model, local_name, render_html
+from dingotk.docgen import _pretty_blank, extract_doc_model, local_name, render_html
 from dingotk.ontology import load_ontology
-from dingotk.turtle import parse_turtle
+from dingotk.terms import (
+    BlankNode,
+    Graph,
+    IRI,
+    Literal,
+    RDF_FIRST,
+    RDF_NIL,
+    RDF_REST,
+    RDF_TYPE,
+    Triple,
+    XSD_STRING,
+)
+from dingotk.turtle import parse_turtle, term_renderer
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -158,3 +171,72 @@ def test_small_fixture_matches_golden():
     html = render_html(small_model())
     golden = (GOLDEN_DIR / "docgen_small.html").read_text("utf-8")
     assert html == golden
+
+
+def _recursive_pretty_blank(g, node, render, seen=None):
+    # the recursive renderer the explicit-stack walk replaced, kept as reference
+    seen = set(seen or ())
+    if node in seen:
+        return f"_:{node.label}"
+    seen.add(node)
+    firsts = g.objects(node, RDF_FIRST)
+    rests = g.objects(node, RDF_REST)
+    if firsts and rests:
+        items = []
+        visited_cells = set()
+        current = node
+        while isinstance(current, BlankNode) and current not in visited_cells:
+            visited_cells.add(current)
+            heads = g.objects(current, RDF_FIRST)
+            if not heads:
+                break
+            items.append(_recursive_pretty_term(g, heads[0], render, seen))
+            nxt = g.objects(current, RDF_REST)
+            current = nxt[0] if nxt else RDF_NIL
+            if current == RDF_NIL:
+                break
+        return "( " + " ".join(items) + " )"
+    parts = []
+    for t in g.match(node, None, None):
+        pred = "a" if t.predicate == RDF_TYPE else render(t.predicate)
+        parts.append(f"{pred} {_recursive_pretty_term(g, t.object, render, seen)}")
+    return "[ " + " ; ".join(parts) + " ]"
+
+
+def _recursive_pretty_term(g, term, render, seen=None):
+    if isinstance(term, BlankNode):
+        return _recursive_pretty_blank(g, term, render, seen)
+    return render(term)
+
+
+def _random_blank_structure(rng):
+    # shallow anonymous structure: property nodes and collections over a few
+    # blank nodes, with shared nodes, cycles and broken lists
+    blanks = [BlankNode(f"n{i}") for i in range(rng.randrange(1, 7))]
+    leaves = [IRI("http://v.example/#A"), Literal("x", XSD_STRING), RDF_NIL]
+    predicates = [RDF_TYPE, IRI("http://v.example/#p"), IRI("http://other.example/q")]
+    triples = set()
+    for node in blanks:
+        if rng.random() < 0.4:  # a list whose cells may share, loop back or stop early
+            cell = node
+            for _ in range(rng.randrange(1, 4)):
+                if rng.random() < 0.9:
+                    triples.add(Triple(cell, RDF_FIRST, rng.choice(blanks + leaves)))
+                nxt = rng.choice(blanks + [BlankNode(f"c{rng.randrange(3)}"), RDF_NIL])
+                triples.add(Triple(cell, RDF_REST, nxt))
+                if nxt == RDF_NIL:
+                    break
+                cell = nxt
+        else:
+            for _ in range(rng.randrange(0, 4)):
+                triples.add(Triple(node, rng.choice(predicates), rng.choice(blanks + leaves)))
+    return Graph(triples, {"v": "http://v.example/#"}), blanks
+
+
+def test_pretty_blank_matches_recursive_reference_on_random_structure():
+    rng = random.Random(7)
+    for _ in range(500):
+        g, blanks = _random_blank_structure(rng)
+        render = term_renderer(g.prefixes)
+        for node in blanks:
+            assert _pretty_blank(g, node, render) == _recursive_pretty_blank(g, node, render)

@@ -137,6 +137,45 @@ def test_collections():
     assert len(firsts) == 2 and len(rests) == 2
 
 
+def test_nested_subject_blank_nodes_are_numbered_in_opening_order():
+    # a fresh node at '[', the head at '(', each further cell before its element
+    g = parse_turtle("( [ <http://x/p> 1 ] ( 2 ) ) <http://x/q> [ ] .")
+    b = [BlankNode(f"b{i}") for i in range(5)]
+    assert set(g.triples) == {
+        Triple(b[1], IRI("http://x/p"), Literal("1", XSD_INTEGER)),
+        Triple(b[0], RDF_FIRST, b[1]),
+        Triple(b[0], RDF_REST, b[2]),
+        Triple(b[2], RDF_FIRST, b[3]),
+        Triple(b[2], RDF_REST, RDF_NIL),
+        Triple(b[3], RDF_FIRST, Literal("2", XSD_INTEGER)),
+        Triple(b[3], RDF_REST, RDF_NIL),
+        Triple(b[0], IRI("http://x/q"), b[4]),
+    }
+
+
+def test_bracketed_subject_may_stand_alone_but_empty_ones_may_not():
+    assert len(parse_turtle("[ <http://x/p> 1 ] .")) == 1
+    for document in ("[ ] .", "( ) .", "( 1 ) ."):
+        with pytest.raises(TurtleParseError, match="expected predicate"):
+            parse_turtle(document)
+
+
+def test_deep_blank_node_property_list_nest_parses():
+    depth = 100_000
+    g = parse_turtle(
+        "<http://x/s> <http://x/p> " + "[ <http://x/p> " * depth + "1" + " ]" * depth + " ."
+    )
+    assert len(g) == depth + 1
+    assert Triple(BlankNode(f"b{depth - 1}"), IRI("http://x/p"), Literal("1", XSD_INTEGER)) in g
+
+
+def test_deep_collection_nest_parses():
+    depth = 10_000
+    g = parse_turtle("<http://x/s> <http://x/p> " + "( " * depth + "1" + " )" * depth + " .")
+    assert len(g) == 2 * depth + 1  # each level: rdf:first and rdf:rest of one cell
+    assert Triple(BlankNode(f"b{depth - 1}"), RDF_FIRST, Literal("1", XSD_INTEGER)) in g
+
+
 def test_duplicate_triples_deduplicate():
     g = parse_turtle("<http://x/s> <http://x/p> 1 . <http://x/s> <http://x/p> 1 .")
     assert len(g) == 1

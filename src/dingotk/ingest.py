@@ -29,6 +29,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from typing import Iterable, Optional
 from urllib.parse import quote
 
@@ -91,11 +92,13 @@ class MappingSpec:
     columns: tuple
     prefixes: dict = field(default_factory=dict, hash=False, compare=False)
 
+    @cached_property
+    def _entity_by_name(self) -> dict:
+        # reversed, so the first rule with a name is the one kept
+        return {rule.name: rule for rule in reversed(self.entities)}
+
     def entity(self, name: str) -> EntityRule:
-        for rule in self.entities:
-            if rule.name == name:
-                return rule
-        raise KeyError(name)
+        return self._entity_by_name[name]
 
 
 @dataclass(frozen=True)

@@ -61,6 +61,11 @@ class IRI:
         if bad:
             raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {self.value!r}")
 
+    def __hash__(self) -> int:
+        # str caches its own hash; storing one here would go stale when a
+        # pickle is loaded under another PYTHONHASHSEED
+        return hash(self.value)
+
     def __repr__(self) -> str:
         return f"<{self.value}>"
 

@@ -303,6 +303,11 @@ class _Parser:
         self.triples: list[Triple] = []
         self._blank_by_label: dict[str, BlankNode] = {}
         self._blank_count = 0
+        # one term object per distinct IRI (keyed by the resolved string) and
+        # per distinct literal, so each is built and validated once and
+        # equal terms are identical, which set and dict lookups test first
+        self._iris: dict[str, IRI] = {t.value: t for t in (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL)}
+        self._literals: dict[tuple, Literal] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -337,26 +342,45 @@ class _Parser:
             self._blank_by_label[label] = self._fresh_blank()
         return self._blank_by_label[label]
 
-    # -- IRI resolution ----------------------------------------------------
+    # -- terms -------------------------------------------------------------
+
+    def _iri(self, value: str, tok: tuple) -> IRI:
+        iri = self._iris.get(value)
+        if iri is None:
+            try:
+                iri = IRI(value)
+            except ValueError as exc:
+                raise self._error(str(exc), tok) from None
+            self._iris[value] = iri
+        return iri
+
+    def _literal(self, lexical: str, datatype: str, language: Optional[str], tok: tuple) -> Literal:
+        key = (lexical, datatype, language)
+        literal = self._literals.get(key)
+        if literal is None:
+            try:
+                literal = Literal(lexical, datatype, language)
+            except ValueError as exc:
+                raise self._error(str(exc), tok) from None
+            self._literals[key] = literal
+        return literal
 
     def _resolve_iri(self, raw: str, tok: tuple) -> IRI:
+        # every key of _iris is absolute, so a hit needs no resolving
+        iri = self._iris.get(raw)
+        if iri is not None:
+            return iri
         if not is_absolute_iri(raw):
             if self.base is None:
                 raise self._error(f"relative IRI {raw!r} without a base", tok, RelativeIriError)
             raw = urljoin(self.base, raw)
-        try:
-            return IRI(raw)
-        except ValueError as exc:
-            raise self._error(str(exc), tok) from None
+        return self._iri(raw, tok)
 
     def _expand_pname(self, tok: tuple) -> IRI:
         prefix, _, local = tok[1].partition(":")
         if prefix not in self.prefixes:
             raise self._error(f"undefined prefix {prefix + ':'!r}", tok, UndefinedPrefixError)
-        try:
-            return IRI(self.prefixes[prefix] + local)
-        except ValueError as exc:
-            raise self._error(str(exc), tok) from None
+        return self._iri(self.prefixes[prefix] + local, tok)
 
     # -- grammar -----------------------------------------------------------
 
@@ -492,9 +516,9 @@ class _Parser:
         if kind == "string":
             return self._parse_literal_tail(tok)
         if kind in _NUMBER_DATATYPES:
-            return Literal(tok[1], _NUMBER_DATATYPES[kind])
+            return self._literal(tok[1], _NUMBER_DATATYPES[kind], None, tok)
         if kind == "boolean":
-            return Literal(tok[1], XSD_BOOLEAN)
+            return self._literal(tok[1], XSD_BOOLEAN, None, tok)
         raise self._error("expected object", tok)
 
     def _parse_literal_tail(self, string_tok: tuple) -> Literal:
@@ -502,7 +526,7 @@ class _Parser:
         nxt = self._peek()
         if nxt[0] == "langtag":
             self._take()
-            return Literal(lexical, RDF_LANG_STRING, nxt[1])
+            return self._literal(lexical, RDF_LANG_STRING, nxt[1], nxt)
         if nxt[0] == "^^":
             self._take()
             dt_tok = self._take()
@@ -512,11 +536,8 @@ class _Parser:
                 datatype = self._expand_pname(dt_tok)
             else:
                 raise self._error("expected datatype IRI after '^^'", dt_tok)
-            try:
-                return Literal(lexical, datatype.value)
-            except ValueError as exc:
-                raise self._error(str(exc), dt_tok) from None
-        return Literal(lexical, XSD_STRING)
+            return self._literal(lexical, datatype.value, None, dt_tok)
+        return self._literal(lexical, XSD_STRING, None, string_tok)
 
 
 def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
@@ -551,16 +572,17 @@ _CHAR_ESCAPES = {
 }
 
 
+# the characters _escape_string changes: quote, backslash, C0 controls and DEL
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
+
+
+def _escape_char(match: re.Match) -> str:
+    c = match.group()
+    return _CHAR_ESCAPES.get(c) or f"\\u{ord(c):04X}"
+
+
 def _escape_string(text: str) -> str:
-    parts = []
-    for c in text:
-        if c in _CHAR_ESCAPES:
-            parts.append(_CHAR_ESCAPES[c])
-        elif ord(c) < 0x20 or ord(c) == 0x7F:
-            parts.append(f"\\u{ord(c):04X}")
-        else:
-            parts.append(c)
-    return "".join(parts)
+    return _NEEDS_ESCAPE.sub(_escape_char, text)
 
 
 def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
@@ -568,9 +590,11 @@ def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
 
     The longest matching namespace wins; ties go to the lexicographically
     smallest prefix. An IRI whose remainder is not a safe local name is
-    written in full.
+    written in full. The function remembers the text of each term it has
+    written, so a term that recurs is rendered once.
     """
     table = sorted(prefixes.items(), key=lambda item: (-len(item[1]), item[0]))
+    rendered: dict = {}
 
     def render_iri(value: str) -> str:
         for prefix, namespace in table:
@@ -579,11 +603,16 @@ def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
         return f"<{value}>"
 
     def render(term: Term) -> str:
-        if isinstance(term, IRI):
-            return render_iri(term.value)
-        if isinstance(term, BlankNode):
-            return f"_:{term.label}"
-        return _render_literal(term, render_iri)
+        text = rendered.get(term)
+        if text is None:
+            if isinstance(term, IRI):
+                text = render_iri(term.value)
+            elif isinstance(term, BlankNode):
+                text = f"_:{term.label}"
+            else:
+                text = _render_literal(term, render_iri)
+            rendered[term] = text
+        return text
 
     return render
 

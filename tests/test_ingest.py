@@ -4,7 +4,9 @@ import pytest
 
 from dingotk.ingest import (
     EmptyKeyError,
+    EntityRule,
     MappingParseError,
+    MappingSpec,
     ingest_table,
     mint_iri,
     parse_mapping,
@@ -53,6 +55,21 @@ def test_parse_minimal_mapping():
     assert rule.key_columns == ("id",)
     assert len(rule.property_rules) == 1
 
+
+
+def test_entity_lookup_first_rule_wins_and_spec_stays_frozen():
+    first = EntityRule("Thing", D.Project, ("id",), ())
+    second = EntityRule("Thing", D.Grant, ("id",), ())
+    other = EntityRule("Other", D.Grant, ("id",), ())
+    spec = MappingSpec("http://ex.org/", (first, second, other), ("id",))
+    assert spec.entity("Thing") is first
+    assert spec.entity("Other") is other
+    with pytest.raises(KeyError):
+        spec.entity("Ghost")
+    twin = MappingSpec("http://ex.org/", (first, second, other), ("id",))
+    assert spec == twin and hash(spec) == hash(twin)
+    with pytest.raises(AttributeError):
+        spec.base_iri = "http://elsewhere.org/"
 
 def test_dangling_ref_is_an_error():
     text = MINIMAL.replace(": string", ": ref Ghost")

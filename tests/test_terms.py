@@ -1,6 +1,14 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
+
+import dingotk
 
 from dingotk.terms import (
     BlankNode,
@@ -129,3 +137,56 @@ def test_match_results_in_canonical_order():
     )
     predicates = [t.predicate for t in g.match(IRI(EX + "s"), None, None)]
     assert predicates == [RDF_TYPE, IRI(EX + "p1"), IRI(EX + "p2")]
+
+
+# ---------------------------------------------------------------------------
+# hash contract: equal values hash equally, in any process
+# ---------------------------------------------------------------------------
+
+
+def test_equal_terms_and_triples_built_separately_hash_equally():
+    for seed in range(20):
+        g1, g2 = random_graph(random.Random(seed)), random_graph(random.Random(seed))
+        assert g1 == g2 and hash(g1) == hash(g2)
+        for t1, t2 in zip(g1, g2):
+            assert t1 == t2 and t1 is not t2 and hash(t1) == hash(t2)
+            for a, b in zip(t1, t2):
+                assert a == b and a is not b and hash(a) == hash(b)
+
+
+# Rebuilds every term with dataclasses.replace, so the child looks the graph
+# up with objects hashed in its own process, not only the unpickled ones.
+UNPICKLE_AND_LOOK_UP = textwrap.dedent(
+    """
+    import dataclasses, pickle, sys
+    from dingotk.terms import Triple, triple_sort_key
+    from support import scan_matching
+
+    g = pickle.loads(sys.stdin.buffer.read())
+    fresh = lambda term: None if term is None else dataclasses.replace(term)
+    for t in g.triples:
+        assert t in g
+        s, p, o = (fresh(term) for term in t)
+        assert Triple(s, p, o) in g
+        for pattern in ((s, None, None), (None, p, None), (None, None, o), (s, p, None), (None, p, o), (s, None, o)):
+            expected = sorted(scan_matching(g, *pattern), key=triple_sort_key)
+            assert g.match(*pattern) == expected, pattern
+    print(hash("hash seed probe"))
+    """
+)
+
+
+def test_graph_unpickled_under_another_hash_seed_still_finds_its_triples():
+    g = random_graph(random.Random(77), max_triples=120)
+    data = pickle.dumps(g)
+    path = os.pathsep.join([str(Path(dingotk.__file__).parents[1]), str(Path(__file__).parent)])
+    probes = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        child = subprocess.run(
+            [sys.executable, "-c", UNPICKLE_AND_LOOK_UP], input=data, capture_output=True, env=env, timeout=60
+        )
+        assert child.returncode == 0, child.stderr.decode()
+        probes.add(int(child.stdout))
+    # at least one child hashed strings differently from this process
+    assert probes - {hash("hash seed probe")}

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dingotk.terms import (
     BlankNode,
@@ -23,8 +24,10 @@ from dingotk.turtle import (
     RelativeIriError,
     TurtleParseError,
     UndefinedPrefixError,
+    _escape_string,
     parse_turtle,
     serialize_turtle,
+    term_renderer,
 )
 from dingotk.isomorphism import graph_isomorphic
 
@@ -193,6 +196,70 @@ def test_parse_with_external_base_argument():
     g = parse_turtle("<leaf> <http://x/p> 1 .", base="http://x/dir/")
     (t,) = g.triples
     assert t.subject == IRI("http://x/dir/leaf")
+
+
+# -- one term object per distinct IRI or literal in a parse ------------------
+
+
+def _terms(g: Graph) -> list:
+    return [term for t in g.triples for term in t]
+
+
+def test_prefix_redefined_mid_document_expands_to_a_new_iri():
+    g = parse_turtle(
+        "@prefix ex: <http://one/> . ex:s ex:p ex:x .\n"
+        "@prefix ex: <http://two/> . ex:s ex:p ex:x .\n"
+    )
+    assert g.triples == {
+        Triple(IRI("http://one/s"), IRI("http://one/p"), IRI("http://one/x")),
+        Triple(IRI("http://two/s"), IRI("http://two/p"), IRI("http://two/x")),
+    }
+
+
+def test_base_changed_mid_document_resolves_the_same_relative_iri_anew():
+    g = parse_turtle(
+        "@base <http://one/> . <s> <http://x/p> <x> .\n"
+        "@base <http://two/> . <s> <http://x/p> <x> .\n"
+    )
+    assert g.triples == {
+        Triple(IRI("http://one/s"), IRI("http://x/p"), IRI("http://one/x")),
+        Triple(IRI("http://two/s"), IRI("http://x/p"), IRI("http://two/x")),
+    }
+
+
+INTERNING_DOC = """
+@prefix ex: <http://x/> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+ex:s ex:p "v", 1, 2.5, true, "w"@en, "d"^^ex:dt ; ex:q <http://x/t> .
+<http://x/t> ex:p "v", 1, 2.5, true, "w"@en, "d"^^<http://x/dt> ; ex:q ex:s ;
+    ex:r "1"^^xsd:integer, "2.5"^^xsd:decimal, "true"^^xsd:boolean .
+"""
+
+
+def test_equal_terms_within_one_parse_are_one_object():
+    g = parse_turtle(INTERNING_DOC + "ex:t a ex:T . ex:s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ex:T .")
+    first: dict = {}
+    for term in _terms(g):
+        assert first.setdefault(term, term) is term, term
+    assert len(first) < len(_terms(g)) / 2
+
+
+def test_separate_parses_share_no_term_object():
+    g1, g2 = parse_turtle(INTERNING_DOC), parse_turtle(INTERNING_DOC)
+    assert g1 == g2
+    assert not {id(term) for term in _terms(g1)} & {id(term) for term in _terms(g2)}
+
+
+def test_literals_differing_in_datatype_or_language_stay_apart():
+    g = parse_turtle(
+        "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .\n"
+        '<http://x/a> <http://x/p> 1 . <http://x/b> <http://x/p> "1"^^xsd:integer .\n'
+        '<http://x/c> <http://x/p> "1" . <http://x/d> <http://x/p> "1"@en .\n'
+    )
+    a, b, c, d = (g.value(IRI(f"http://x/{n}"), IRI("http://x/p")) for n in "abcd")
+    assert a == b == Literal("1", XSD_INTEGER)
+    assert c == Literal("1") and d == Literal("1", RDF_LANG_STRING, "en")
+    assert len({a, b, c, d}) == 3
 
 
 def test_undefined_prefix_error_position():
@@ -374,6 +441,56 @@ def test_serializer_escapes_strings():
     assert '\\"b\\"' in text and "\\n" in text and "\\t" in text and "\\\\d" in text
     reparsed = parse_turtle(text)
     assert reparsed.triples == g.triples
+
+
+def _escape_string_per_character(text: str) -> str:
+    """The per-character escaper the serializer used before, kept as the reference."""
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t", "\b": "\\b", "\f": "\\f"}
+    parts = []
+    for c in text:
+        if c in escapes:
+            parts.append(escapes[c])
+        elif ord(c) < 0x20 or ord(c) == 0x7F:
+            parts.append(f"\\u{ord(c):04X}")
+        else:
+            parts.append(c)
+    return "".join(parts)
+
+
+ESCAPE_TEXTS = st.text(
+    alphabet=st.one_of(
+        st.characters(min_codepoint=0, max_codepoint=0x7F),
+        st.sampled_from(['"', "\\", "\b", "\f", "\x7f"]),
+        st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF),
+    )
+)
+
+
+@settings(max_examples=300, derandomize=True, database=None)
+@given(ESCAPE_TEXTS)
+def test_escape_string_matches_the_per_character_reference(text):
+    assert _escape_string(text) == _escape_string_per_character(text)
+
+
+@settings(max_examples=100, derandomize=True, database=None)
+@given(ESCAPE_TEXTS)
+def test_memoized_renderer_repeats_its_text(text):
+    prefixes = {"x": "http://x/"}
+    terms = [
+        Literal(text),
+        Literal(text, "http://x/dt"),
+        Literal(text, RDF_LANG_STRING, "en"),
+        IRI("http://x/local"),
+        IRI("http://y/local"),
+        BlankNode("b0"),
+    ]
+    render = term_renderer(prefixes)
+    once = [render(t) for t in terms]
+    assert once[0] == f'"{_escape_string_per_character(text)}"'
+    assert [render(t) for t in terms] == once
+    # an equal but separately built term renders the same
+    assert [render(Literal(t.lexical, t.datatype, t.language)) for t in terms[:3]] == once[:3]
+    assert once == [term_renderer(prefixes)(t) for t in terms]
 
 
 def test_literal_lexical_forms_survive_round_trip():

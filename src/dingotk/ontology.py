@@ -357,10 +357,8 @@ def load_ontology(g: Graph) -> OntologySchema:
                 getattr(properties[t.subject], bucket).append(pair)
 
     equivalences = []
-    mapping_triples = [
-        t for t in sorted(g.triples, key=triple_sort_key) if t.predicate in MAPPING_PREDICATES
-    ]
-    for t in mapping_triples:
+    mapping_triples = [t for t in g.triples if t.predicate in MAPPING_PREDICATES]
+    for t in sorted(mapping_triples, key=triple_sort_key):
         if not isinstance(t.subject, IRI) or not isinstance(t.object, IRI):
             continue
         kind = MAPPING_PREDICATES[t.predicate]

@@ -420,8 +420,8 @@ def validate(
         shape = shapes.shapes.get(shape_name)
         if shape is None:
             continue
+        allowed = {c.predicate for c in shape.constraints} | {RDF_TYPE}
         for focus in _instances(data, schema, class_iri):
-            allowed = {c.predicate for c in shape.constraints} | {RDF_TYPE}
             for constraint in shape.constraints:
                 values = data.objects(focus, constraint.predicate)
                 count = len(values)

@@ -1,15 +1,17 @@
 """RDF data model: terms, triples and an immutable, pattern-indexed graph.
 
-Terms come in three variants (IRI, blank node, literal). Graphs are sets of
-triples with an ordered prefix map; they never change after construction, so
-they are safe to share between threads.
+Terms come in three variants (IRI, blank node, literal). Terms and triples are
+immutable named tuples, hashed and compared by value in C; each constructor
+validates in `__new__`, so build them by calling the class, never with
+`_make` or `_replace`. Graphs are sets of triples with an ordered prefix map;
+they never change after construction, so they are safe to share between
+threads.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -50,54 +52,47 @@ def is_absolute_iri(value: str) -> bool:
     return bool(_SCHEME_RE.match(value))
 
 
-@dataclass(frozen=True)
-class IRI:
-    value: str
+class IRI(namedtuple("IRI", "value")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_absolute_iri(self.value):
-            raise ValueError(f"IRI is not absolute (missing scheme): {self.value!r}")
-        bad = _IRI_FORBIDDEN.search(self.value)
+    def __new__(cls, value: str) -> "IRI":
+        if not is_absolute_iri(value):
+            raise ValueError(f"IRI is not absolute (missing scheme): {value!r}")
+        bad = _IRI_FORBIDDEN.search(value)
         if bad:
-            raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {self.value!r}")
-
-    def __hash__(self) -> int:
-        # str caches its own hash; storing one here would go stale when a
-        # pickle is loaded under another PYTHONHASHSEED
-        return hash(self.value)
+            raise ValueError(f"IRI contains forbidden character {bad.group()!r}: {value!r}")
+        return tuple.__new__(cls, (value,))
 
     def __repr__(self) -> str:
         return f"<{self.value}>"
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    label: str
+class BlankNode(namedtuple("BlankNode", "label")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.match(self.label):
-            raise ValueError(f"invalid blank node label: {self.label!r}")
+    def __new__(cls, label: str) -> "BlankNode":
+        if not _BLANK_LABEL_RE.match(label):
+            raise ValueError(f"invalid blank node label: {label!r}")
+        return tuple.__new__(cls, (label,))
 
     def __repr__(self) -> str:
         return f"_:{self.label}"
 
 
-@dataclass(frozen=True)
-class Literal:
-    lexical: str
-    datatype: str = XSD_STRING
-    language: Optional[str] = None
+class Literal(namedtuple("Literal", "lexical datatype language")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.language is not None:
-            if not _LANG_TAG_RE.match(self.language):
-                raise ValueError(f"invalid language tag: {self.language!r}")
-            if self.datatype != RDF_LANG_STRING:
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> "Literal":
+        if language is not None:
+            if not _LANG_TAG_RE.match(language):
+                raise ValueError(f"invalid language tag: {language!r}")
+            if datatype != RDF_LANG_STRING:
                 raise ValueError("language-tagged literal must have the rdf:langString datatype")
-        elif self.datatype == RDF_LANG_STRING:
+        elif datatype == RDF_LANG_STRING:
             raise ValueError("rdf:langString literal requires a language tag")
-        if not is_absolute_iri(self.datatype) or _IRI_FORBIDDEN.search(self.datatype):
-            raise ValueError(f"literal datatype must be a valid absolute IRI: {self.datatype!r}")
+        if not is_absolute_iri(datatype) or _IRI_FORBIDDEN.search(datatype):
+            raise ValueError(f"literal datatype must be a valid absolute IRI: {datatype!r}")
+        return tuple.__new__(cls, (lexical, datatype, language))
 
     def __repr__(self) -> str:
         if self.language:
@@ -131,20 +126,15 @@ def predicate_sort_key(predicate: IRI) -> tuple:
     return (1, predicate.value)
 
 
-@dataclass(frozen=True)
-class Triple:
-    subject: Term
-    predicate: IRI
-    object: Term
+class Triple(namedtuple("Triple", "subject predicate object")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    def __new__(cls, subject: Term, predicate: IRI, object: Term) -> "Triple":
+        if isinstance(subject, Literal):
             raise ValueError("triple subject cannot be a literal")
-        if not isinstance(self.predicate, IRI):
+        if not isinstance(predicate, IRI):
             raise ValueError("triple predicate must be an IRI")
-
-    def __iter__(self) -> Iterator[Term]:
-        return iter((self.subject, self.predicate, self.object))
+        return tuple.__new__(cls, (subject, predicate, object))
 
 
 def triple_sort_key(triple: Triple) -> tuple:

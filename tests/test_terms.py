@@ -154,16 +154,17 @@ def test_equal_terms_and_triples_built_separately_hash_equally():
                 assert a == b and a is not b and hash(a) == hash(b)
 
 
-# Rebuilds every term with dataclasses.replace, so the child looks the graph
-# up with objects hashed in its own process, not only the unpickled ones.
+# Rebuilds every term through its validating constructor, so the child looks
+# the graph up with objects hashed in its own process, not only the unpickled
+# ones.
 UNPICKLE_AND_LOOK_UP = textwrap.dedent(
     """
-    import dataclasses, pickle, sys
+    import pickle, sys
     from dingotk.terms import Triple, triple_sort_key
     from support import scan_matching
 
     g = pickle.loads(sys.stdin.buffer.read())
-    fresh = lambda term: None if term is None else dataclasses.replace(term)
+    fresh = lambda term: None if term is None else type(term)(*term)
     for t in g.triples:
         assert t in g
         s, p, o = (fresh(term) for term in t)
@@ -190,3 +191,59 @@ def test_graph_unpickled_under_another_hash_seed_still_finds_its_triples():
         probes.add(int(child.stdout))
     # at least one child hashed strings differently from this process
     assert probes - {hash("hash seed probe")}
+
+
+# ---------------------------------------------------------------------------
+# term contract: immutable slotted tuples, equal exactly by type and fields
+# ---------------------------------------------------------------------------
+
+FIELDS = {
+    IRI: ("value",),
+    BlankNode: ("label",),
+    Literal: ("lexical", "datatype", "language"),
+    Triple: ("subject", "predicate", "object"),
+}
+
+
+def _structure(value):
+    """The type and fields of a term or triple, nested down to strings."""
+    if type(value) in FIELDS:
+        return (type(value), tuple(_structure(getattr(value, name)) for name in FIELDS[type(value)]))
+    return value
+
+
+def _contract_pool(seed: int) -> list:
+    g = random_graph(random.Random(seed), max_triples=25, max_blanks=4)
+    originals = list(g.nodes()) + sorted({t.predicate for t in g}, key=term_sort_key) + list(g)
+    # near misses: the same strings in another kind of term, and pairs that
+    # differ in one field only
+    a, b = EX + "a", EX + "b"
+    originals += [IRI(a), BlankNode("a"), Literal("a"), Literal(a), Literal(a, b)]
+    originals += [Literal("a", RDF_LANG_STRING, "en"), Literal("a", RDF_LANG_STRING, "fr")]
+    originals += [Triple(IRI(a), IRI(b), IRI(a)), Triple(IRI(b), IRI(b), IRI(a))]
+    originals += [Triple(IRI(a), IRI(a), IRI(a)), Triple(IRI(a), IRI(b), IRI(b))]
+    rebuilt = [type(term)(*term) for term in originals]
+    return originals + rebuilt
+
+
+def test_terms_are_equal_exactly_when_type_and_fields_match():
+    for seed in range(4):
+        pool = _contract_pool(seed)
+        structures = [_structure(term) for term in pool]
+        for x, sx in zip(pool, structures):
+            for y, sy in zip(pool, structures):
+                assert (x == y) is (sx == sy), (x, y)
+                if x == y:
+                    assert hash(x) == hash(y)
+
+
+def test_terms_are_immutable_slotted_and_pickle_to_themselves():
+    for term in _contract_pool(11):
+        assert not hasattr(term, "__dict__")
+        for name in FIELDS[type(term)]:
+            with pytest.raises(AttributeError):
+                setattr(term, name, getattr(term, name))
+        with pytest.raises(AttributeError):
+            term.extra = None
+        copy = pickle.loads(pickle.dumps(term))
+        assert type(copy) is type(term) and copy == term

@@ -92,6 +92,12 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _delimiter(text: str) -> str:
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be one character, not {text!r}")
+    return text
+
+
 def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="dingotk", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -116,7 +122,7 @@ def build_parser() -> _ArgumentParser:
     ing.add_argument("--mapping", required=True, help="mapping file")
     ing.add_argument("--out", help="output Turtle file (default stdout)")
     ing.add_argument("--base", help="override the mapping's base IRI")
-    ing.add_argument("--delimiter", default=",", help="CSV delimiter (default ',')")
+    ing.add_argument("--delimiter", default=",", type=_delimiter, help="CSV delimiter (default ',')")
     ing.add_argument(
         "--input-format", choices=("csv", "json"), help="default: by file extension"
     )

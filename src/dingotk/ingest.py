@@ -377,9 +377,38 @@ def read_csv_records(text: str, delimiter: str = ",") -> list:
     return [dict(row) for row in reader]
 
 
+# a JSON string, skipped whole, or a bracket that opens or closes nesting
+_JSON_NESTING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]', re.DOTALL)
+
+
+def _deepest_nesting(text: str) -> tuple:
+    """The deepest nesting level of a JSON text and the offset of the
+    bracket that first reaches it."""
+    depth = deepest = offset = 0
+    for match in _JSON_NESTING_RE.finditer(text):
+        c = match.group()
+        if c in ("[", "{"):
+            depth += 1
+            if depth > deepest:
+                deepest, offset = depth, match.start()
+        elif c in ("]", "}"):
+            depth -= 1
+    return deepest, offset
+
+
 def read_json_records(text: str) -> list:
     """JSON array of flat records; scalars are coerced to strings."""
-    data = json.loads(text.lstrip("﻿"))
+    text = text.lstrip("﻿")
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        # the decoder recurses once per nesting level
+        depth, offset = _deepest_nesting(text)
+        line = text.count("\n", 0, offset) + 1
+        column = offset - text.rfind("\n", 0, offset)
+        raise DingoError(
+            f"line {line}, column {column}: JSON nests {depth} levels deep, too deep to read"
+        ) from None
     if not isinstance(data, list):
         raise DingoError("JSON input must be an array of records")
     records = []

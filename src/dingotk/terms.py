@@ -10,8 +10,10 @@ threads.
 
 from __future__ import annotations
 
+import gc
 import re
-from collections import defaultdict, namedtuple
+from collections import namedtuple
+from contextlib import contextmanager
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Union
 
@@ -36,6 +38,24 @@ RDF_LANG_STRING = RDF_NS + "langString"
 
 class DingoError(Exception):
     """Base class for all toolkit errors."""
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause cyclic garbage collection for the block, then restore it.
+
+    Building a graph allocates millions of containers that all stay alive,
+    so collections during the build find nothing to free. The collector
+    runs again afterwards only if it was on before; nesting is safe. Like
+    `gc.disable()`, the pause holds for the whole process.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 # scheme ":" — RFC 3986 scheme production
@@ -148,12 +168,15 @@ def triple_sort_key(triple: Triple) -> tuple:
 class Graph:
     """Immutable set of triples plus an ordered prefix map.
 
-    Duplicate triples collapse (RDF set semantics). Pattern lookups go through
-    per-position indexes; iteration and `match` results follow the canonical
-    serialization order, so everything downstream is deterministic.
+    Duplicate triples collapse (RDF set semantics). Two nested indexes, as in
+    Hexastore (Weiss, Karras and Bernstein, VLDB 2008) cut down to the
+    orderings the toolkit reads, answer pattern lookups: subject ->
+    predicate -> triples and predicate -> object -> triples. Iteration and
+    `match` results follow the canonical serialization order, so everything
+    downstream is deterministic.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_by_subject", "_by_predicate", "_by_object")
+    __slots__ = ("_triples", "_prefixes", "_spo", "_pos")
 
     def __init__(
         self,
@@ -167,16 +190,29 @@ class Graph:
                 raise ValueError(f"invalid prefix name: {prefix!r}")
             if not is_absolute_iri(namespace) or _IRI_FORBIDDEN.search(namespace):
                 raise ValueError(f"prefix {prefix!r} maps to an invalid namespace: {namespace!r}")
-        by_s: dict = defaultdict(set)
-        by_p: dict = defaultdict(set)
-        by_o: dict = defaultdict(set)
-        for t in self._triples:
-            by_s[t.subject].add(t)
-            by_p[t.predicate].add(t)
-            by_o[t.object].add(t)
-        self._by_subject = dict(by_s)
-        self._by_predicate = dict(by_p)
-        self._by_object = dict(by_o)
+        # plain dicts and lists, never changed after this loop; a leaf starts
+        # as [t], sized exactly, because most leaves never grow
+        spo: dict = {}
+        pos: dict = {}
+        with gc_paused():
+            for t in self._triples:
+                s, p, o = t
+                by_p = spo.get(s)
+                if by_p is None:
+                    spo[s] = {p: [t]}
+                elif p in by_p:
+                    by_p[p].append(t)
+                else:
+                    by_p[p] = [t]
+                by_o = pos.get(p)
+                if by_o is None:
+                    pos[p] = {o: [t]}
+                elif o in by_o:
+                    by_o[o].append(t)
+                else:
+                    by_o[o] = [t]
+        self._spo = spo
+        self._pos = pos
 
     @property
     def triples(self) -> frozenset:
@@ -206,6 +242,32 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"
 
+    def _lookup(
+        self, subject: Optional[Term], predicate: Optional[Term], object: Optional[Term]
+    ) -> Iterable[Triple]:
+        # the matching triples in no particular order; a bound subject or
+        # predicate is one or two dict lookups, an object alone is a scan
+        if subject is not None:
+            by_p = self._spo.get(subject)
+            if by_p is None:
+                return ()
+            if predicate is not None:
+                found = by_p.get(predicate, ())
+            else:
+                found = [t for leaf in by_p.values() for t in leaf]
+        elif predicate is not None:
+            by_o = self._pos.get(predicate)
+            if by_o is None:
+                return ()
+            if object is not None:
+                return by_o.get(object, ())
+            return [t for leaf in by_o.values() for t in leaf]
+        else:
+            found = self._triples
+        if object is not None:
+            return [t for t in found if t[2] == object]
+        return found
+
     def match(
         self,
         subject: Optional[Term] = None,
@@ -213,38 +275,35 @@ class Graph:
         object: Optional[Term] = None,
     ) -> list[Triple]:
         """All triples matching the pattern; None positions are wildcards."""
-        candidate_sets = []
-        if subject is not None:
-            candidate_sets.append(self._by_subject.get(subject, frozenset()))
-        if predicate is not None:
-            candidate_sets.append(self._by_predicate.get(predicate, frozenset()))
-        if object is not None:
-            candidate_sets.append(self._by_object.get(object, frozenset()))
-        if not candidate_sets:
-            found = self._triples
-        else:
-            candidate_sets.sort(key=len)
-            found = candidate_sets[0]
-            for other in candidate_sets[1:]:
-                found = found & other
-                if not found:
-                    break
-        return sorted(found, key=triple_sort_key)
+        return sorted(self._lookup(subject, predicate, object), key=triple_sort_key)
 
     def subjects(self, predicate: Optional[Term] = None, object: Optional[Term] = None) -> list[Term]:
         """Distinct subjects of matching triples, canonically ordered."""
-        seen = {t.subject for t in self.match(None, predicate, object)}
-        return sorted(seen, key=term_sort_key)
+        return sorted({t[0] for t in self._lookup(None, predicate, object)}, key=term_sort_key)
 
     def objects(self, subject: Optional[Term] = None, predicate: Optional[Term] = None) -> list[Term]:
         """Distinct objects of matching triples, canonically ordered."""
-        seen = {t.object for t in self.match(subject, predicate, None)}
-        return sorted(seen, key=term_sort_key)
+        return sorted({t[2] for t in self._lookup(subject, predicate, None)}, key=term_sort_key)
 
     def value(self, subject: Term, predicate: IRI) -> Optional[Term]:
         """First object (canonical order) for (subject, predicate), if any."""
         found = self.objects(subject, predicate)
         return found[0] if found else None
+
+    def subject_groups(self) -> Iterator[tuple[Term, list[tuple[IRI, list[Term]]]]]:
+        """Each subject with its (predicate, objects) pairs, in canonical order.
+
+        Subjects and objects follow `term_sort_key` and predicates
+        `predicate_sort_key` (rdf:type first): the order of canonical Turtle.
+        The lists are fresh copies, so callers cannot change the graph.
+        """
+        spo = self._spo
+        for subject in sorted(spo, key=term_sort_key):
+            by_p = spo[subject]
+            yield subject, [
+                (predicate, sorted([t[2] for t in by_p[predicate]], key=term_sort_key))
+                for predicate in sorted(by_p, key=predicate_sort_key)
+            ]
 
     def nodes(self) -> set:
         """Every term appearing in subject or object position."""

@@ -14,7 +14,7 @@ graphs always produce byte-identical Turtle.
 from __future__ import annotations
 
 import re
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 from urllib.parse import urljoin
 
 from .terms import (
@@ -35,9 +35,8 @@ from .terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    gc_paused,
     is_absolute_iri,
-    predicate_sort_key,
-    term_sort_key,
 )
 
 
@@ -143,9 +142,12 @@ def _starts_number(text: str, pos: int) -> bool:
     return c.isdigit() or (c == "." and nxt.isdigit())
 
 
-def _tokenize(text: str) -> list:
-    tokens = []
-    append = tokens.append
+def _tokenize(text: str) -> Iterator[tuple]:
+    """The tokens of text, ending with "eof", lexed as they are read.
+
+    A lexical error is raised when the reader reaches its token, so errors
+    in earlier tokens are found first.
+    """
     match = _TOKEN_RE.match
     pos = _SKIP_RE.match(text).end()
     while pos < len(text):
@@ -192,10 +194,9 @@ def _tokenize(text: str) -> list:
             kind, value = "^^", None
         else:
             kind, value = group, raw
-        append((kind, value, pos))
+        yield kind, value, pos
         pos = m.end()
-    append(("eof", None, pos))
-    return tokens
+    yield "eof", None, pos
 
 
 def _error_at(
@@ -294,10 +295,16 @@ _NUMBER_DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "double": X
 
 
 class _Parser:
-    def __init__(self, tokens: list, text: str, base: Optional[str]) -> None:
-        self.tokens = tokens
+    """Reads the tokens one at a time; `tok` is the one not yet consumed.
+
+    Every check on a token runs before the parser moves past it, so the
+    first error in document order is the one raised, grammatical or lexical.
+    """
+
+    def __init__(self, text: str, base: Optional[str]) -> None:
         self.text = text
-        self.i = 0
+        self._next_token = _tokenize(text).__next__
+        self.tok: tuple = self._next_token()
         self.base = base
         self.prefixes: dict[str, str] = {}
         self.triples: list[Triple] = []
@@ -311,19 +318,15 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def _peek(self) -> tuple:
-        return self.tokens[self.i]
-
-    def _take(self) -> tuple:
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
+    def _advance(self) -> None:
+        # never called on "eof": each caller has checked the kind first
+        self.tok = self._next_token()
 
     def _expect(self, kind: str, what: str) -> tuple:
-        tok = self._take()
+        tok = self.tok
         if tok[0] != kind:
             raise self._error(f"expected {what}", tok)
+        self._advance()
         return tok
 
     def _error(self, message: str, tok: tuple, cls: type = TurtleParseError) -> TurtleParseError:
@@ -386,41 +389,49 @@ class _Parser:
 
     def parse_document(self) -> None:
         while True:
-            tok = self._peek()
-            if tok[0] == "eof":
+            kind = self.tok[0]
+            if kind == "eof":
                 return
-            if tok[0] == "at_prefix":
-                self._take()
+            if kind == "at_prefix":
+                self._advance()
                 self._parse_prefix_decl(dotted=True)
-            elif tok[0] == "at_base":
-                self._take()
+            elif kind == "at_base":
+                self._advance()
                 self._parse_base_decl(dotted=True)
-            elif tok[0] == "sparql_prefix":
-                self._take()
+            elif kind == "sparql_prefix":
+                self._advance()
                 self._parse_prefix_decl(dotted=False)
-            elif tok[0] == "sparql_base":
-                self._take()
+            elif kind == "sparql_base":
+                self._advance()
                 self._parse_base_decl(dotted=False)
             else:
                 self._parse_triples()
                 self._expect(".", "'.' after triples")
 
     def _parse_prefix_decl(self, dotted: bool) -> None:
-        name = self._expect("pname", "prefix name")
+        name = self.tok
+        if name[0] != "pname":
+            raise self._error("expected prefix name", name)
         prefix, _, local = name[1].partition(":")
         if local:
             raise self._error("prefix declaration must end with ':'", name)
-        iri_tok = self._expect("iriref", "namespace IRI")
-        namespace = self._resolve_iri(iri_tok[1], iri_tok)
-        self.prefixes[prefix] = namespace.value
+        self._advance()
+        self.prefixes[prefix] = self._take_iriref("namespace IRI").value
         if dotted:
             self._expect(".", "'.' after @prefix")
 
     def _parse_base_decl(self, dotted: bool) -> None:
-        iri_tok = self._expect("iriref", "base IRI")
-        self.base = self._resolve_iri(iri_tok[1], iri_tok).value
+        self.base = self._take_iriref("base IRI").value
         if dotted:
             self._expect(".", "'.' after @base")
+
+    def _take_iriref(self, what: str) -> IRI:
+        tok = self.tok
+        if tok[0] != "iriref":
+            raise self._error(f"expected {what}", tok)
+        iri = self._resolve_iri(tok[1], tok)
+        self._advance()
+        return iri
 
     def _parse_triples(self) -> None:
         """One statement, up to but not including its '.'.
@@ -431,55 +442,53 @@ class _Parser:
         [head, cell]. A closed frame's node becomes the object of the frame
         below, or, with no frame below, the statement's subject.
         """
-        tokens = self.tokens
         triples = self.triples
         stack: list = []
         frame = None  # the top frame; once the stack empties, the frame closed last
         while True:
             # read one subject or object, or open a frame for it
-            tok = tokens[self.i]
-            kind = tok[0]
+            kind = self.tok[0]
             if kind == "[":
-                self.i += 1
-                if tokens[self.i][0] != "]":
+                self._advance()
+                if self.tok[0] != "]":
                     stack.append([self._fresh_blank(), self._parse_verb(), True])
                     continue
-                self.i += 1
+                self._advance()
                 obj: Term = self._fresh_blank()
             elif kind == "(":
-                self.i += 1
-                if tokens[self.i][0] != ")":
+                self._advance()
+                if self.tok[0] != ")":
                     head = self._fresh_blank()
                     stack.append([head, head])
                     continue
-                self.i += 1
+                self._advance()
                 obj = RDF_NIL
             elif stack or kind in ("iriref", "pname", "blank"):
                 obj = self._parse_term()
             else:
-                raise self._error("expected subject", tok)
+                raise self._error("expected subject", self.tok)
             # hand it to the top frame, closing every frame that ends here
             while stack:
                 frame = stack[-1]
                 if len(frame) == 2:
                     cell = frame[1]
                     triples.append(Triple(cell, RDF_FIRST, obj))
-                    if tokens[self.i][0] != ")":
+                    if self.tok[0] != ")":
                         frame[1] = self._fresh_blank()
                         triples.append(Triple(cell, RDF_REST, frame[1]))
                         break
-                    self.i += 1
+                    self._advance()
                     triples.append(Triple(cell, RDF_REST, RDF_NIL))
                 else:
                     triples.append(Triple(frame[0], frame[1], obj))
-                    kind = tokens[self.i][0]
+                    kind = self.tok[0]
                     if kind == ",":
-                        self.i += 1
+                        self._advance()
                         break
                     if kind == ";":
-                        while tokens[self.i][0] == ";":
-                            self.i += 1
-                        if tokens[self.i][0] not in (".", "]"):  # else a trailing ';'
+                        while self.tok[0] == ";":
+                            self._advance()
+                        if self.tok[0] not in (".", "]"):  # else a trailing ';'
                             frame[1] = self._parse_verb()
                             break
                     if not frame[2]:
@@ -489,55 +498,65 @@ class _Parser:
                 obj = frame[0]
             else:
                 # obj is the subject; after '[ ... ]' its own list is optional
-                if frame is not None and len(frame) == 3 and tokens[self.i][0] == ".":
+                if frame is not None and len(frame) == 3 and self.tok[0] == ".":
                     return
                 stack.append([obj, self._parse_verb(), False])
 
     def _parse_verb(self) -> IRI:
-        tok = self._take()
-        if tok[0] == "a":
-            return RDF_TYPE
-        if tok[0] == "iriref":
-            return self._resolve_iri(tok[1], tok)
-        if tok[0] == "pname":
-            return self._expand_pname(tok)
-        raise self._error("expected predicate", tok)
+        tok = self.tok
+        kind = tok[0]
+        if kind == "a":
+            verb = RDF_TYPE
+        elif kind == "iriref":
+            verb = self._resolve_iri(tok[1], tok)
+        elif kind == "pname":
+            verb = self._expand_pname(tok)
+        else:
+            raise self._error("expected predicate", tok)
+        self._advance()
+        return verb
 
     def _parse_term(self) -> Term:
         """A term that opens no nesting: IRI, prefixed name, labelled blank or literal."""
-        tok = self._take()
+        tok = self.tok
         kind = tok[0]
         if kind == "iriref":
-            return self._resolve_iri(tok[1], tok)
-        if kind == "pname":
-            return self._expand_pname(tok)
-        if kind == "blank":
-            return self._labeled_blank(tok[1])
-        if kind == "string":
+            term: Term = self._resolve_iri(tok[1], tok)
+        elif kind == "pname":
+            term = self._expand_pname(tok)
+        elif kind == "blank":
+            term = self._labeled_blank(tok[1])
+        elif kind == "string":
             return self._parse_literal_tail(tok)
-        if kind in _NUMBER_DATATYPES:
-            return self._literal(tok[1], _NUMBER_DATATYPES[kind], None, tok)
-        if kind == "boolean":
-            return self._literal(tok[1], XSD_BOOLEAN, None, tok)
-        raise self._error("expected object", tok)
+        elif kind in _NUMBER_DATATYPES:
+            term = self._literal(tok[1], _NUMBER_DATATYPES[kind], None, tok)
+        elif kind == "boolean":
+            term = self._literal(tok[1], XSD_BOOLEAN, None, tok)
+        else:
+            raise self._error("expected object", tok)
+        self._advance()
+        return term
 
     def _parse_literal_tail(self, string_tok: tuple) -> Literal:
         lexical = string_tok[1]
-        nxt = self._peek()
-        if nxt[0] == "langtag":
-            self._take()
-            return self._literal(lexical, RDF_LANG_STRING, nxt[1], nxt)
-        if nxt[0] == "^^":
-            self._take()
-            dt_tok = self._take()
-            if dt_tok[0] == "iriref":
-                datatype = self._resolve_iri(dt_tok[1], dt_tok)
-            elif dt_tok[0] == "pname":
-                datatype = self._expand_pname(dt_tok)
+        self._advance()
+        tok = self.tok
+        if tok[0] == "langtag":
+            literal = self._literal(lexical, RDF_LANG_STRING, tok[1], tok)
+        elif tok[0] == "^^":
+            self._advance()
+            tok = self.tok
+            if tok[0] == "iriref":
+                datatype = self._resolve_iri(tok[1], tok)
+            elif tok[0] == "pname":
+                datatype = self._expand_pname(tok)
             else:
-                raise self._error("expected datatype IRI after '^^'", dt_tok)
-            return self._literal(lexical, datatype.value, None, dt_tok)
-        return self._literal(lexical, XSD_STRING, None, string_tok)
+                raise self._error("expected datatype IRI after '^^'", tok)
+            literal = self._literal(lexical, datatype.value, None, tok)
+        else:
+            return self._literal(lexical, XSD_STRING, None, string_tok)
+        self._advance()
+        return literal
 
 
 def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
@@ -547,9 +566,10 @@ def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
     malformed input; never returns a partial graph.
     """
     text = document.lstrip("﻿")
-    parser = _Parser(_tokenize(text), text, base)
-    parser.parse_document()
-    return Graph(parser.triples, parser.prefixes)
+    with gc_paused():
+        parser = _Parser(text, base)
+        parser.parse_document()
+        return Graph(parser.triples, parser.prefixes)
 
 
 # ---------------------------------------------------------------------------
@@ -640,25 +660,16 @@ def serialize_turtle(graph: Graph) -> str:
     Identical graphs serialize to identical bytes; parse_turtle of the output
     yields a graph isomorphic to the input.
     """
-    render = term_renderer(graph.prefixes)
-    lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(graph.prefixes.items())]
-
-    by_subject: dict[Term, dict[IRI, list[Term]]] = {}
-    for t in graph.triples:
-        by_subject.setdefault(t.subject, {}).setdefault(t.predicate, []).append(t.object)
-
-    blocks = []
-    for subject in sorted(by_subject, key=term_sort_key):
-        groups = by_subject[subject]
-        parts = []
-        for predicate in sorted(groups, key=predicate_sort_key):
-            rendered_pred = "a" if predicate == RDF_TYPE else render(predicate)
-            objects = sorted(groups[predicate], key=term_sort_key)
-            rendered_objs = ", ".join(render(o) for o in objects)
-            parts.append(f"{rendered_pred} {rendered_objs}")
-        blocks.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
-
-    if lines and blocks:
-        lines.append("")
-    lines.extend(blocks)
-    return "\n".join(lines) + "\n" if lines else ""
+    with gc_paused():
+        render = term_renderer(graph.prefixes)
+        lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(graph.prefixes.items())]
+        if lines and graph:
+            lines.append("")
+        for subject, groups in graph.subject_groups():
+            parts = []
+            for predicate, objects in groups:
+                rendered_pred = "a" if predicate == RDF_TYPE else render(predicate)
+                rendered_objs = ", ".join(render(o) for o in objects)
+                parts.append(f"{rendered_pred} {rendered_objs}")
+            lines.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
+        return "\n".join(lines) + "\n" if lines else ""

@@ -350,6 +350,35 @@ def test_ingest_json_input(tmp_path, capsys):
     assert 'd:title "Thing"' in out
 
 
+THING_MAPPING = (
+    f"prefix d: <{DINGO_BASE}>\nbase <http://ex.org/>\ncolumns id, name\n"
+    "entity Thing d:Project {\n  key id\n  map name -> d:title : string\n}\n"
+)
+
+
+@pytest.mark.parametrize("delimiter", ["", "::"])
+def test_ingest_delimiter_must_be_one_character(tmp_path, capsys, delimiter):
+    table = tmp_path / "rows.csv"
+    table.write_text("id,name\nt1,X\n", encoding="utf-8")
+    mapping = tmp_path / "m.mapping"
+    mapping.write_text(THING_MAPPING, encoding="utf-8")
+    assert run(["ingest", str(table), "--mapping", str(mapping), "--delimiter", delimiter]) == 3
+    err = capsys.readouterr().err
+    assert "usage error: argument --delimiter: must be one character" in err
+    assert "Traceback" not in err
+
+
+def test_ingest_deeply_nested_json_is_a_positioned_input_error(tmp_path, capsys):
+    records = tmp_path / "rows.json"
+    records.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    mapping = tmp_path / "m.mapping"
+    mapping.write_text(THING_MAPPING, encoding="utf-8")
+    assert run(["ingest", str(records), "--mapping", str(mapping)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 1, column 100000: JSON nests 100000 levels deep")
+    assert "Traceback" not in err
+
+
 def test_docgen_writes_linked_html(tmp_path, capsys):
     out = tmp_path / "doc.html"
     assert run(["docgen", "--out", str(out)]) == 0

@@ -1,3 +1,5 @@
+import gc
+import itertools
 import os
 import pickle
 import random
@@ -19,6 +21,7 @@ from dingotk.terms import (
     RDF_TYPE,
     Triple,
     XSD_STRING,
+    gc_paused,
     term_sort_key,
     triple_sort_key,
 )
@@ -113,18 +116,26 @@ def test_match_exact_triple():
 
 
 def test_match_agrees_with_linear_scan_on_random_patterns():
-    rng = random.Random(2024)
-    g = random_graph(rng, max_triples=50, max_blanks=6)
-    terms = list(g.nodes()) + [None, IRI(EX + "absent")]
-    predicates = sorted({t.predicate for t in g.triples}, key=term_sort_key) + [None]
-    for _ in range(100):
-        s = rng.choice(terms)
-        p = rng.choice(predicates) if predicates else None
-        o = rng.choice(terms)
-        got = g.match(s, p, o)
-        expected = scan_matching(g, s, p, o)
-        assert sorted(got, key=triple_sort_key) == sorted(expected, key=triple_sort_key)
-        assert got == sorted(got, key=triple_sort_key)  # canonical order
+    absent = IRI(EX + "absent")
+    for seed in range(2024, 2030):
+        rng = random.Random(seed)
+        g = random_graph(rng, max_triples=50, max_blanks=6)
+        terms = list(g.nodes()) + [None, absent]
+        predicates = sorted({t.predicate for t in g.triples}, key=term_sort_key) + [None]
+        patterns = [(rng.choice(terms), rng.choice(predicates), rng.choice(terms)) for _ in range(100)]
+        # every bound/unbound combination of every triple, and of one absent
+        for t in [*g.triples, Triple(absent, absent, absent)]:
+            for bound in itertools.product((True, False), repeat=3):
+                patterns.append(tuple(term if keep else None for term, keep in zip(t, bound)))
+        for s, p, o in patterns:
+            expected = scan_matching(g, s, p, o)
+            assert g.match(s, p, o) == sorted(expected, key=triple_sort_key)
+            assert g.objects(s, p) == sorted(
+                {t.object for t in scan_matching(g, s, p, None)}, key=term_sort_key
+            )
+            assert g.subjects(p, o) == sorted(
+                {t.subject for t in scan_matching(g, None, p, o)}, key=term_sort_key
+            )
 
 
 def test_match_results_in_canonical_order():
@@ -137,6 +148,33 @@ def test_match_results_in_canonical_order():
     )
     predicates = [t.predicate for t in g.match(IRI(EX + "s"), None, None)]
     assert predicates == [RDF_TYPE, IRI(EX + "p1"), IRI(EX + "p2")]
+
+
+def test_gc_paused_restores_the_prior_collector_state():
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        with gc_paused():
+            assert not gc.isenabled()
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(ValueError):
+            with gc_paused():
+                Graph([], {"bad prefix": EX})
+        assert gc.isenabled()
+        # a collector that was off stays off
+        gc.disable()
+        with gc_paused():
+            pass
+        Graph([Triple(IRI(EX + "s"), IRI(EX + "p"), IRI(EX + "o"))])
+        assert not gc.isenabled()
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -367,6 +368,46 @@ def test_numeric_escapes_outside_unicode_scalar_values_are_positioned_errors(
         parse_turtle(document)
     assert (err.value.line, err.value.column) == (line, column)
     assert f"numeric escape '{escape}' is not a Unicode character" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "document, cls, column, message",
+    [
+        ("<http://a/b> <http://a/c> ; ; . $$", TurtleParseError, 27, "expected object (at ';')"),
+        ("<http://a/b> <http://a/c> ; $", TurtleParseError, 27, "expected object (at ';')"),
+        ("<http://a/b> $ ; ; .", TurtleParseError, 14, "unexpected character '$' (at '$')"),
+        ("@prefix e:x <http://x/> $", TurtleParseError, 9,
+         "prefix declaration must end with ':' (at 'e:x')"),
+        ("@base <rel> $", RelativeIriError, 7, "relative IRI 'rel' without a base (at 'rel')"),
+        ('<http://a/b> <http://a/c> "x"^^"y" $', TurtleParseError, 32,
+         "expected datatype IRI after '^^' (at 'y')"),
+        ("<http://a/b> <http://a/c> ex:o $", UndefinedPrefixError, 27,
+         "undefined prefix 'ex:' (at 'ex:o')"),
+    ],
+)
+def test_first_error_in_document_order_is_reported(document, cls, column, message):
+    # a grammar error before a lexical error wins, and the other way round
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(document)
+    assert type(err.value) is cls
+    assert str(err.value) == f"line 1, column {column}: {message}"
+
+
+def test_parse_peak_memory_stays_near_the_graph_it_builds():
+    # the parser reads tokens as it goes, so no token list adds to the peak
+    g = random_graph(random.Random(1), max_triples=100_000, max_blanks=8)
+    assert len(g) >= 10_000
+    text = serialize_turtle(g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        parsed = parse_turtle(text)
+        live, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(parsed) == len(g)
+    assert peak - before <= 1.5 * (live - before)
 
 
 def test_numeric_escapes_next_to_the_excluded_ranges_parse():

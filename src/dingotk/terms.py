@@ -48,6 +48,11 @@ def gc_paused() -> Iterator[None]:
     so collections during the build find nothing to free. The collector
     runs again afterwards only if it was on before; nesting is safe. Like
     `gc.disable()`, the pause holds for the whole process.
+
+    When the collector comes back on, every tracked object moves to the
+    oldest generation, so the next young collections do not walk what the
+    block built. This is skipped while the process holds frozen objects of
+    its own (`gc.freeze()`), which stay frozen.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -55,6 +60,9 @@ def gc_paused() -> Iterator[None]:
         yield
     finally:
         if was_enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 

@@ -177,6 +177,28 @@ def test_gc_paused_restores_the_prior_collector_state():
             gc.disable()
 
 
+def test_gc_paused_moves_what_it_built_to_the_oldest_generation():
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable()
+        with gc_paused():
+            built = [[] for _ in range(2000)]
+        assert gc.get_count()[0] < len(built)
+        assert any(o is built for o in gc.get_objects(generation=2))
+        # objects the process froze itself stay frozen
+        gc.freeze()
+        frozen = gc.get_freeze_count()
+        with gc_paused():
+            pass
+        assert gc.get_freeze_count() == frozen
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 # ---------------------------------------------------------------------------
 # hash contract: equal values hash equally, in any process
 # ---------------------------------------------------------------------------

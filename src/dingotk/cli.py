@@ -14,10 +14,8 @@ import warnings
 from importlib import resources
 from typing import Optional
 
-from . import docgen, ingest, queries, shapes
 from .ontology import DINGO_BASE, OntologySchema, load_ontology
-from .queries import Conventions, UntypedNodeWarning
-from .terms import BlankNode, DingoError, Graph, IRI, Term
+from .terms import BlankNode, DingoError, Graph, IRI, Term, gc_paused
 from .turtle import parse_turtle, serialize_turtle
 
 EXIT_OK = 0
@@ -37,17 +35,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# subquery -> (query over (data, schema, node, inherited, conventions), whether
-# to sort its result); "ancestry" keeps its nearest-first order
+# subquery -> (query over (queries module, data, schema, node, inherited,
+# conventions), whether to sort its result); "ancestry" keeps its
+# nearest-first order. Each command imports the modules it runs, so that the
+# others stay unloaded in a one-shot process.
 _NODE_QUERIES = {
-    "grants-of": (lambda d, s, n, i, c: queries.grants_funding_project(d, s, n, c), True),
-    "projects-of": (lambda d, s, n, i, c: queries.projects_funded_by(d, s, n, c), True),
-    "ancestry": (lambda d, s, n, i, c: queries.scheme_ancestry(d, n, c), False),
-    "criteria": (lambda d, s, n, i, c: queries.criteria_for_scheme(d, n, i, c), True),
-    "participants": (lambda d, s, n, i, c: queries.participants_with_roles(d, s, n, c), False),
-    "beneficiaries": (lambda d, s, n, i, c: queries.beneficiaries_of(d, n, c), True),
+    "grants-of": (lambda q, d, s, n, i, c: q.grants_funding_project(d, s, n, c), True),
+    "projects-of": (lambda q, d, s, n, i, c: q.projects_funded_by(d, s, n, c), True),
+    "ancestry": (lambda q, d, s, n, i, c: q.scheme_ancestry(d, n, c), False),
+    "criteria": (lambda q, d, s, n, i, c: q.criteria_for_scheme(d, n, i, c), True),
+    "participants": (lambda q, d, s, n, i, c: q.participants_with_roles(d, s, n, c), False),
+    "beneficiaries": (lambda q, d, s, n, i, c: q.beneficiaries_of(d, n, c), True),
     "non-beneficiary-participants": (
-        lambda d, s, n, i, c: queries.non_beneficiary_participants(d, s, n, c),
+        lambda q, d, s, n, i, c: q.non_beneficiary_participants(d, s, n, c),
         True,
     ),
 }
@@ -176,6 +176,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from . import shapes
+
     data = parse_turtle(_read_file(args.data))
     schema = _load_schema(args.ontology)
     if args.shapes:
@@ -205,6 +207,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
+    from . import ingest
+
     fmt = args.input_format
     if fmt is None:
         fmt = "json" if args.table.lower().endswith(".json") else "csv"
@@ -253,9 +257,11 @@ def _render_terms(found, fmt: str) -> int:
 def _cmd_query(args) -> int:
     if args.subquery != "temporal-check" and not args.node:
         raise _UsageError(f"query {args.subquery} requires --node")
+    from . import queries
+
     data = parse_turtle(_read_file(args.data))
     schema = _load_schema(args.ontology)
-    conventions = Conventions.for_base(args.base)
+    conventions = queries.Conventions.for_base(args.base)
 
     if args.subquery == "temporal-check":
         violations = queries.check_temporal(data, conventions)
@@ -284,8 +290,8 @@ def _cmd_query(args) -> int:
     node = _parse_node(args.node)
     query, ordered = _NODE_QUERIES[args.subquery]
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", UntypedNodeWarning)
-        found = query(data, schema, node, args.inherited, conventions)
+        warnings.simplefilter("always", queries.UntypedNodeWarning)
+        found = query(queries, data, schema, node, args.inherited, conventions)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.subquery != "participants":
@@ -304,6 +310,8 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_docgen(args) -> int:
+    from . import docgen
+
     graph = _load_graph(args.ontology)
     schema = load_ontology(graph)
     model = docgen.extract_doc_model(graph, schema)
@@ -335,7 +343,10 @@ def run(argv) -> int:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
-        return _DISPATCH[args.command](args)
+        # the command's objects mostly live until it ends, so collections
+        # during it would free little; see terms.gc_paused
+        with gc_paused():
+            return _DISPATCH[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

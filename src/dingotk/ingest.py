@@ -370,11 +370,18 @@ def _convert_cell(raw: str, rule: PropertyRule, mapping: MappingSpec):
 
 
 def read_csv_records(text: str, delimiter: str = ",") -> list:
-    """RFC-4180 CSV with a header row, as a list of dicts."""
+    """RFC-4180 CSV with a header row, as a list of dicts.
+
+    A line the `csv` module cannot read, such as one with a field longer than
+    its process-wide `csv.field_size_limit()`, is a `DingoError` naming it.
+    """
     reader = csv.DictReader(io.StringIO(text.lstrip("﻿")), delimiter=delimiter)
-    if reader.fieldnames is None:
-        return []
-    return [dict(row) for row in reader]
+    try:
+        if reader.fieldnames is None:
+            return []
+        return [dict(row) for row in reader]
+    except csv.Error as exc:
+        raise DingoError(f"line {reader.reader.line_num}: {exc}") from None
 
 
 # a JSON string, skipped whole, or a bracket that opens or closes nesting

@@ -1,9 +1,10 @@
+import gc
 import json
 from html import escape
 
 import pytest
 
-from dingotk import queries
+from dingotk import cli, queries
 from dingotk.cli import format_term, run
 from dingotk.ontology import DINGO_BASE, DingoTerms
 from dingotk.queries import grants_funding_project, scheme_ancestry
@@ -111,6 +112,39 @@ def test_validate_with_custom_shape_file(tmp_path, data_file, capsys):
     )
     assert run(["validate", data_file, "--shapes", str(shapes)]) == 1
     assert "missing-required" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_pauses_the_collector_for_the_whole_command(tmp_path, capsys, monkeypatch, data_file, enabled):
+    bad = tmp_path / "bad.ttl"
+    bad.write_text(f"@prefix d: <{DINGO_BASE}> . <http://x/g> a d:Grant .", encoding="utf-8")
+    broken = tmp_path / "broken.ttl"
+    broken.write_text("<http://x/s> <http://x/p> .", encoding="utf-8")
+    during = []
+    parse = cli.parse_turtle
+
+    def spy(*args, **kwargs):
+        during.append(gc.isenabled())
+        return parse(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_turtle", spy)
+    codes, after = [], []
+    if not enabled:
+        gc.disable()
+    try:
+        for argv in (
+            ["validate", data_file],
+            ["validate", str(bad)],
+            ["convert", str(broken)],
+            ["query", "grants-of", data_file],  # a usage error raised inside the command
+        ):
+            codes.append(run(argv))
+            after.append(gc.isenabled())
+    finally:
+        gc.enable()
+    assert codes == [0, 1, 2, 3]
+    assert after == [enabled] * 4
+    assert during and not any(during)
 
 
 def test_usage_errors_exit_3(capsys):
@@ -377,6 +411,17 @@ def test_ingest_deeply_nested_json_is_a_positioned_input_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("error: line 1, column 100000: JSON nests 100000 levels deep")
     assert "Traceback" not in err
+
+
+def test_ingest_oversized_csv_cell_is_a_positioned_input_error(tmp_path, capsys):
+    table = tmp_path / "rows.csv"
+    table.write_text("id,name\nt1,X\nt2," + "x" * 200_000 + "\n", encoding="utf-8")
+    mapping = tmp_path / "m.mapping"
+    mapping.write_text(THING_MAPPING, encoding="utf-8")
+    assert run(["ingest", str(table), "--mapping", str(mapping)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 3: field larger than field limit (131072)\n"
 
 
 def test_docgen_writes_linked_html(tmp_path, capsys):

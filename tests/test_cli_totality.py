@@ -1,13 +1,16 @@
-"""Every CLI command over generated Turtle ends in an exit code, never an exception.
+"""Every CLI command over generated input ends in an exit code, never an exception.
 
-Documents are built from grammar pieces (terms, verbs, ';', ',', '.', and
-'[ ]'/'( )' nests up to about 2 000 levels deep), then hit with single-token
-deletions and insertions, and fed to the commands that read Turtle,
-`query temporal-check` included.
+Turtle documents are built from grammar pieces (terms, verbs, ';', ',', '.',
+and '[ ]'/'( )' nests up to about 2 000 levels deep), then hit with
+single-token deletions and insertions, and fed to the commands that read
+Turtle, `query temporal-check` included. Mapping files, shape files and CSV
+and JSON tables are generated and mutated the same way and fed to `ingest`
+(with `--delimiter` and `--base`) and `validate --shapes`.
 """
 
 import contextlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -40,6 +43,7 @@ VERBS = [
     "a", "ex:p", "<http://x/q>", "rdfs:subClassOf", "owl:onProperty", "rdfs:label", "d:funds",
     "d:has_beneficiary",
 ]
+DINGO = "https://w3id.org/dingo#"
 # only inserted, as a single-token edit
 STRAYS = [".", ";", ",", "[", "]", "(", ")", "und:x", "<rel>", "@en", "^^"]
 
@@ -94,18 +98,25 @@ def statements(draw):
     return tokens + ["."]
 
 
+def mutated(draw, tokens: list, pool: list) -> list:
+    """`tokens` after up to two single-token deletions or insertions from `pool`."""
+    tokens = list(tokens)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(tokens)))
+        if tokens and at < len(tokens) and draw(st.booleans()):
+            del tokens[at]
+        else:
+            tokens.insert(at, draw(st.sampled_from(pool)))
+    return tokens
+
+
 @st.composite
 def documents(draw):
     tokens = [token for statement in draw(st.lists(statements(), max_size=3)) for token in statement]
     if draw(st.booleans()):  # one deep nest, as a subject or as an object of a documented class
         nest, verb = draw(nests(2000)), draw(verbs)
         tokens += draw(st.sampled_from([nest + [verb, "1", "."], ["d:Project", verb] + nest + ["."]]))
-    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
-        at = draw(st.integers(0, len(tokens)))
-        if tokens and at < len(tokens) and draw(st.booleans()):
-            del tokens[at]
-        else:
-            tokens.insert(at, draw(st.sampled_from(STRAYS + NODES + LITERALS + VERBS)))
+    tokens = mutated(draw, tokens, STRAYS + NODES + LITERALS + VERBS)
     return PREFIXES + CLASSES + " ".join(tokens) + "\n"
 
 
@@ -126,13 +137,17 @@ def may_exit_1(argv) -> bool:
     return argv[0] == "validate" or argv[:2] == ["query", "temporal-check"]
 
 
-@settings(
-    max_examples=30,
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
+def totality_settings(max_examples: int):
+    return settings(
+        max_examples=max_examples,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+
+
+@totality_settings(30)
 @given(documents())
 @example(PREFIXES + CLASSES + "d:Project ex:p " + "[ ex:p " * 2000 + "1" + " ; a d:Grant ]" * 2000 + " .\n")
 @example(PREFIXES + CLASSES + "d:Project rdfs:subClassOf " + "( " * 2000 + "1" + " _:l1 )" * 2000 + " .\n")
@@ -141,8 +156,163 @@ def test_every_command_ends_in_an_exit_code(document):
         path = str(Path(tmp) / "doc.ttl")
         Path(path).write_text(document, encoding="utf-8")
         for argv in commands(path):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run(argv)
-            assert code in ({0, 1, 2, 3} if may_exit_1(argv) else {0, 2, 3}), argv
-            assert "Traceback" not in err.getvalue()
+            assert_exit_code(argv)
+
+
+def assert_exit_code(argv) -> None:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in ({0, 1, 2, 3} if may_exit_1(argv) else {0, 2, 3}), argv
+    assert "Traceback" not in err.getvalue()
+
+
+# -- ingest: mapping files and CSV or JSON tables ------------------------------
+
+COLUMNS = ["id", "title", "start", "amount", "ref", "lang"]
+VALUE_KINDS = [
+    "string", "string@en", "string@", "string@x-", "date", "date format %d/%m/%Y", "date format %",
+    "decimal", "ref E0", "ref E1", "ref Nope", "ref", "blob",
+]
+PREDICATES = ["d:title", "d:funds", "<http://x/p>", "<rel>", "und:p", "d:"]
+CELLS = [
+    "", "x", "t1", "t2", "2020", "2020-01", "2020-13", "2019-02-30", "2020-02-29", "01/02/2020",
+    "1.5", "-3", ".5", "1e3", "a b", "a,b", 'q"q', "line\nbreak", "é", "\ufeffx", "%2F/#?",
+]
+MAPPING_STRAYS = [
+    "{", "}", "->", ":", ",", "key", "map", "entity", "columns", "base", "prefix", "d:Grant",
+    "<http://x/>", "<rel>", "#", "@",
+]
+
+
+@st.composite
+def mapping_texts(draw):
+    lines = [["prefix", "d:", f"<{DINGO}>"]]
+    base = draw(st.sampled_from(["<http://x/base/>", "<http://x/b#>", "<rel/>", None]))
+    if base:
+        lines.append(["base", base])
+    columns = draw(st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=4, unique=True))
+    lines.append(["columns", ", ".join(columns)])
+    for n in range(draw(st.integers(1, 2))):
+        lines.append(["entity", f"E{n}", draw(st.sampled_from(["d:Grant", "d:Project", "<http://x/C>"])), "{"])
+        lines.append(["key", ", ".join(draw(st.lists(st.sampled_from(columns), min_size=1, max_size=2)))])
+        for _ in range(draw(st.integers(0, 3))):
+            lines.append([
+                "map", draw(st.sampled_from(columns)), "->", draw(st.sampled_from(PREDICATES)), ":",
+                draw(st.sampled_from(VALUE_KINDS)),
+            ])
+        lines.append(["}"])
+    # mutate whole lines and single tokens
+    lines = mutated(draw, lines, [[t] for t in MAPPING_STRAYS])
+    words = mutated(draw, [" ".join(line) for line in lines], MAPPING_STRAYS)
+    return "\n".join(words) + "\n"
+
+
+@st.composite
+def tables(draw, delimiter):
+    """(file suffix, text) of a CSV table joined with `delimiter`, or a JSON one."""
+    header = draw(st.lists(st.sampled_from(COLUMNS + ["", "extra"]), min_size=1, max_size=5))
+    rows = draw(
+        st.lists(st.lists(st.sampled_from(CELLS), min_size=0, max_size=6), max_size=4)
+    )
+    if draw(st.booleans()):
+        def cell(value):
+            quote = any(c in value for c in (delimiter, '"', "\n")) or draw(st.booleans())
+            return '"' + value.replace('"', '""') + '"' if quote else value
+
+        lines = [delimiter.join(cell(c) for c in line) for line in [header, *rows]]
+        return ".csv", "\n".join(mutated(draw, lines, ['"', "", "x" + delimiter, "\x00"])) + "\n"
+    scalars = st.sampled_from([*CELLS, 1, -2.5, True, None, [], {"k": 1}])
+    records = [
+        {column: draw(scalars) for column in draw(st.lists(st.sampled_from(COLUMNS), max_size=4))}
+        for _ in rows
+    ]
+    text = json.dumps(draw(st.sampled_from([records, records, {"a": 1}, [1, "x"], []])))
+    chars = mutated(draw, list(text), list('[]{},:"') + ["\\"])
+    return ".json", "".join(chars)
+
+
+@st.composite
+def ingest_cases(draw):
+    delimiter = draw(st.sampled_from([",", ";", "\t", "|", '"']))
+    suffix, table = draw(tables(delimiter))
+    options = []
+    if draw(st.booleans()):
+        options += ["--delimiter", draw(st.sampled_from([delimiter, ",", ";", "\n"]))]
+    if draw(st.booleans()):
+        options += ["--base", draw(st.sampled_from(["http://override.example/", "urn:x:", "rel/", "http://x/a b", ""]))]
+    if draw(st.booleans()):
+        options += ["--input-format", draw(st.sampled_from(["csv", "json"]))]
+    return draw(mapping_texts()), suffix, table, options + ["--format", draw(st.sampled_from(["text", "json"]))]
+
+
+def run_ingest(mapping, suffix, table, options) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        mapping_path, table_path = Path(tmp) / "m.mapping", Path(tmp) / f"rows{suffix}"
+        mapping_path.write_text(mapping, encoding="utf-8")
+        table_path.write_text(table, encoding="utf-8")
+        assert_exit_code(["ingest", str(table_path), "--mapping", str(mapping_path), *options])
+
+
+THING_MAPPING = "prefix d: <http://x/>\nbase <http://x/>\ncolumns id, name\nentity T d:T {\nkey id\n}\n"
+
+
+@totality_settings(60)
+@given(ingest_cases())
+@example((THING_MAPPING, ".csv", "id,name\nt1," + "x" * 131_073 + "\n", []))  # over the csv field limit
+@example((THING_MAPPING, ".csv", "id,name\nt1,\x00\n", []))  # NUL: an error before Python 3.11
+def test_ingest_ends_in_an_exit_code(case):
+    run_ingest(*case)
+
+
+# -- validate --shapes: shape files ---------------------------------------------
+
+SHAPE_DATA = (
+    f"@prefix d: <{DINGO}> .\n"
+    "@prefix x: <http://x/> .\n"
+    "x:p a d:Project ; d:funded_by x:g ; d:title \"P\" .\n"
+    "x:g a d:Grant ; d:funds x:p ; d:has_beneficiary x:o ;\n"
+    "    d:start_time \"2020-01-01\"^^<http://www.w3.org/2001/XMLSchema#date> .\n"
+    "x:o a d:Organisation .\n"
+    "x:s a d:FundingScheme ; d:subscheme_of x:s .\n"
+)
+CHECKS = [
+    ["any"], ["iri"], ["literal", "xsd:date"], ["literal", "<http://x/dt>"], ["class", "d:Project"],
+    ["class", "d:Nope"], ["@S0"], ["@S1"], ["@Missing"], ["literal"], ["class"],
+]
+CARDINALITIES = ["", "?", "*", "+", "{0}", "{1}", "{2,}", "{1,3}", "{3,1}", "{ 2 , 5 }"]
+SHAPE_STRAYS = [
+    "{", "}", ";", "shape", "target", "closed", "prefix", "d:", "@S0", "{1,", "<rel>", "und:x", "xsd:",
+    "#", "?",
+]
+
+
+@st.composite
+def shape_texts(draw):
+    tokens = ["prefix", "d:", f"<{DINGO}>\n", "prefix", "xsd:", "<http://www.w3.org/2001/XMLSchema#>\n"]
+    for n in range(draw(st.integers(0, 2))):
+        tokens += ["shape", f"S{n}"]
+        if draw(st.booleans()):
+            tokens.append("closed")
+        target = draw(st.sampled_from(["d:Project", "d:Grant", "d:FundingScheme", "d:Nope", "<http://x/C>"]))
+        tokens += ["target", target, "{"]
+        predicates = st.sampled_from(["d:funds", "d:title", "d:funded_by", "d:start_time", "<http://x/p>"])
+        for k, predicate in enumerate(draw(st.lists(predicates, max_size=3, unique=True))):
+            if k:
+                tokens.append(";")
+            tokens.append(predicate)
+            tokens += draw(st.sampled_from(CHECKS))
+            tokens.append(draw(st.sampled_from(CARDINALITIES)))
+        tokens.append("}\n")
+    return " ".join(mutated(draw, tokens, SHAPE_STRAYS)) + "\n"
+
+
+@totality_settings(60)
+@given(shape_texts())
+def test_validate_with_generated_shapes_ends_in_an_exit_code(shapes):
+    with tempfile.TemporaryDirectory() as tmp:
+        data, shape_file = Path(tmp) / "data.ttl", Path(tmp) / "s.shapes"
+        data.write_text(SHAPE_DATA, encoding="utf-8")
+        shape_file.write_text(shapes, encoding="utf-8")
+        assert_exit_code(["validate", str(data), "--shapes", str(shape_file)])
+        assert_exit_code(["validate", str(data), "--shapes", str(shape_file), "--format", "json"])

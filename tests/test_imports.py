@@ -1,0 +1,121 @@
+"""Import boundaries: `import dingotk` loads no submodule, and each CLI
+command loads only the modules it runs.
+
+The subprocess checks start fresh interpreters, because this test process
+has long since imported every module.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dingotk
+
+SRC = Path(dingotk.__file__).resolve().parents[1]
+DATA = SRC / "dingotk" / "data"
+# what `import dingotk.cli` may load, and so every command too
+CLI_BASE = {"dingotk", "dingotk.cli", "dingotk.ontology", "dingotk.terms", "dingotk.turtle"}
+
+
+def loaded_after(code: str) -> set:
+    """The dingotk modules a fresh interpreter holds after running `code`."""
+    probe = code + (
+        "\nimport json, sys"
+        "\nprint(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'dingotk')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_dingotk_loads_no_submodule():
+    assert loaded_after("import dingotk") == {"dingotk"}
+
+
+def test_submodules_are_attributes_after_a_bare_import():
+    code = (
+        "import sys, dingotk\n"
+        "assert dingotk.shapes is sys.modules['dingotk.shapes']\n"
+        "assert dingotk.dates is sys.modules['dingotk.dates']\n"
+        "assert dingotk.turtle.parse_turtle is dingotk.parse_turtle"
+    )
+    assert {"dingotk.shapes", "dingotk.dates", "dingotk.turtle"} <= loaded_after(code)
+
+
+def test_import_cli_loads_only_what_every_command_needs():
+    assert loaded_after("import dingotk.cli") == CLI_BASE
+
+
+EXAMPLE = str(DATA / "example_instances.ttl")
+
+
+@pytest.mark.parametrize(
+    "argv, own",
+    [
+        pytest.param(["stats"], set(), id="stats"),
+        pytest.param(["convert", EXAMPLE], set(), id="convert"),
+        pytest.param(["validate", EXAMPLE], {"dingotk.shapes"}, id="validate"),
+        pytest.param(
+            ["ingest", str(DATA / "example_grants.csv"), "--mapping", str(DATA / "example_grants.mapping")],
+            {"dingotk.ingest"},
+            id="ingest",
+        ),
+        pytest.param(
+            ["query", "grants-of", EXAMPLE, "--node", "http://example.org/data/project-qsense"],
+            {"dingotk.queries", "dingotk.dates"},
+            id="query-grants-of",
+        ),
+        pytest.param(
+            ["query", "temporal-check", EXAMPLE], {"dingotk.queries", "dingotk.dates"}, id="query-temporal-check"
+        ),
+        pytest.param(["docgen"], {"dingotk.docgen"}, id="docgen"),
+    ],
+)
+def test_each_command_loads_only_its_own_modules(argv, own):
+    # the console-script entry, with the command's output thrown away
+    code = (
+        "import contextlib, io, sys\n"
+        "from dingotk.cli import main\n"
+        f"sys.argv = ['dingotk', *{argv!r}]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        main()\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+    )
+    assert loaded_after(code) == CLI_BASE | own
+
+
+def test_every_exported_name_is_the_object_its_module_defines():
+    for name in dingotk.__all__:
+        module = importlib.import_module("dingotk." + dingotk._MODULE_OF[name])
+        assert getattr(dingotk, name) is getattr(module, name), name
+
+
+def test_star_import_binds_all_exports():
+    namespace: dict = {}
+    exec("from dingotk import *", namespace)
+    assert {name for name in namespace if name != "__builtins__"} == set(dingotk.__all__)
+    assert all(namespace[name] is getattr(dingotk, name) for name in dingotk.__all__)
+
+
+def test_dir_lists_exports_and_submodules():
+    listed = dir(dingotk)
+    assert set(dingotk.__all__) <= set(listed)
+    assert {"__version__", "shapes", "queries", "docgen", "ingest"} <= set(listed)
+    assert listed == sorted(listed)
+
+
+def test_unknown_names_raise_the_standard_errors():
+    with pytest.raises(AttributeError, match=r"^module 'dingotk' has no attribute 'no_such_name'$"):
+        dingotk.no_such_name  # noqa: B018
+    assert not hasattr(dingotk, "no_such_name")
+    with pytest.raises(ImportError, match=r"^cannot import name 'no_such_name' from 'dingotk'"):
+        exec("from dingotk import no_such_name", {})

@@ -1,4 +1,6 @@
+import csv
 import random
+import sys
 
 import pytest
 
@@ -309,6 +311,31 @@ def test_read_csv_records_rfc4180():
 def test_read_csv_custom_delimiter():
     rows = read_csv_records("a;b\n1;2\n", delimiter=";")
     assert rows == [{"a": "1", "b": "2"}]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("a,b\n1,2\n3," + "x" * 131_073 + "\n", 3),
+        ("a," + "x" * 131_073 + "\n1,2\n", 1),
+        ('a,b\n1,"2\n\n' + "y" * 131_073 + '"\n', 4),  # the line inside a quoted cell
+    ],
+    ids=["in-a-row", "in-the-header", "in-a-quoted-cell"],
+)
+def test_read_csv_oversized_cell_is_a_positioned_error(text, line):
+    limit = csv.field_size_limit()
+    with pytest.raises(DingoError, match=f"^line {line}: field larger than field limit"):
+        read_csv_records(text)
+    assert csv.field_size_limit() == limit  # the process-wide limit is left alone
+
+
+def test_read_csv_nul_byte_reads_or_is_a_positioned_error():
+    text = "a,b\n1,\x002\n"
+    if sys.version_info >= (3, 11):  # the csv module accepts NUL from 3.11 on
+        assert read_csv_records(text) == [{"a": "1", "b": "\x002"}]
+    else:
+        with pytest.raises(DingoError, match="^line 2: line contains NUL"):
+            read_csv_records(text)
 
 
 def test_read_json_records_scalar_coercion():

@@ -272,17 +272,14 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
         individual_entries.append(entry)
 
     axiom_entries = []
-    for t in sorted(g.triples, key=lambda t: term_sort_key(t.subject)):
-        if t.predicate not in _AXIOM_KINDS or not isinstance(t.subject, IRI):
-            continue
-        if isinstance(t.object, IRI):
-            axiom_entries.append(
-                AxiomEntry(_AXIOM_KINDS[t.predicate], t.subject, render(t.object), t.object)
-            )
-        elif isinstance(t.object, BlankNode):
-            axiom_entries.append(
-                AxiomEntry(_AXIOM_KINDS[t.predicate], t.subject, _pretty_blank(g, t.object, render), None)
-            )
+    for predicate, kind in _AXIOM_KINDS.items():
+        for t in g.match(None, predicate, None):
+            if not isinstance(t.subject, IRI):
+                continue
+            if isinstance(t.object, IRI):
+                axiom_entries.append(AxiomEntry(kind, t.subject, render(t.object), t.object))
+            elif isinstance(t.object, BlankNode):
+                axiom_entries.append(AxiomEntry(kind, t.subject, _pretty_blank(g, t.object, render), None))
     axiom_entries.sort(key=lambda a: (term_sort_key(a.subject), a.kind, a.object_text))
 
     return DocModel(

@@ -311,11 +311,23 @@ def ingest_table(rows: Iterable[dict], mapping: MappingSpec) -> tuple:
     and the output graph carries the mapping's prefixes so its canonical
     Turtle is stable.
     """
-    triples: set = set()
+    triples: list = []  # the graph drops the duplicates
     report = IngestReport()
+    # each distinct term is built once per call, as the parser does: minted
+    # IRIs by (entity class, key) and converted cells by (rule, raw). Only
+    # successes are kept, so every failing cell is reported on its own row.
+    minted: dict = {}
+
+    def mint(entity_class: IRI, key: str) -> IRI:
+        iri = minted.get((entity_class, key))
+        if iri is None:
+            iri = minted[entity_class, key] = mint_iri(mapping.base_iri, entity_class, key)
+        return iri
+
+    plans = [(entity, [(rule, {}) for rule in entity.property_rules]) for entity in mapping.entities]
     for row_number, row in enumerate(rows, start=1):
         report.rows += 1
-        for entity in mapping.entities:
+        for entity, rules in plans:
             key_values = [str(row.get(column) or "") for column in entity.key_columns]
             if any(not v for v in key_values):
                 report.failures.append(
@@ -327,28 +339,28 @@ def ingest_table(rows: Iterable[dict], mapping: MappingSpec) -> tuple:
                     )
                 )
                 continue
-            subject = mint_iri(
-                mapping.base_iri, entity.entity_class, _KEY_SEPARATOR.join(key_values)
-            )
-            triples.add(Triple(subject, RDF_TYPE, entity.entity_class))
-            for rule in entity.property_rules:
+            subject = mint(entity.entity_class, _KEY_SEPARATOR.join(key_values))
+            triples.append(Triple(subject, RDF_TYPE, entity.entity_class))
+            for rule, converted in rules:
                 raw = row.get(rule.column)
                 raw = "" if raw is None else str(raw)
                 if raw == "":
                     report.skipped_cells += 1
                     continue
-                try:
-                    obj = _convert_cell(raw, rule, mapping)
-                except ValueError as exc:
-                    report.failures.append(CellFailure(row_number, rule.column, raw, str(exc)))
-                    continue
-                triples.add(Triple(subject, rule.predicate, obj))
+                obj = converted.get(raw)
+                if obj is None:
+                    try:
+                        obj = converted[raw] = _convert_cell(raw, rule, mapping, mint)
+                    except ValueError as exc:
+                        report.failures.append(CellFailure(row_number, rule.column, raw, str(exc)))
+                        continue
+                triples.append(Triple(subject, rule.predicate, obj))
     graph = Graph(triples, mapping.prefixes)
     report.triples = len(graph)
     return graph, report
 
 
-def _convert_cell(raw: str, rule: PropertyRule, mapping: MappingSpec):
+def _convert_cell(raw: str, rule: PropertyRule, mapping: MappingSpec, mint):
     if rule.value_kind == "string":
         return Literal(raw, XSD_STRING)
     if rule.value_kind == "lang-string":
@@ -360,8 +372,7 @@ def _convert_cell(raw: str, rule: PropertyRule, mapping: MappingSpec):
             raise ValueError(f"not a decimal: {raw!r}")
         return Literal(raw, XSD_DECIMAL)
     # ref: the cell is the referenced entity's key
-    target = mapping.entity(rule.ref_entity)
-    return mint_iri(mapping.base_iri, target.entity_class, raw)
+    return mint(mapping.entity(rule.ref_entity).entity_class, raw)
 
 
 # ---------------------------------------------------------------------------

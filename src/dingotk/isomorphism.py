@@ -54,13 +54,14 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
     Ground graphs compare by plain set equality. Prefix maps are ignored;
     isomorphism is about the triples only.
     """
-    ground1 = frozenset(t for t in g1.triples if _is_ground(t))
-    ground2 = frozenset(t for t in g2.triples if _is_ground(t))
+    triples1, triples2 = g1.triples, g2.triples  # each a new frozenset
+    ground1 = frozenset(t for t in triples1 if _is_ground(t))
+    ground2 = frozenset(t for t in triples2 if _is_ground(t))
     if ground1 != ground2:
         return False
 
-    open1 = g1.triples - ground1
-    open2 = g2.triples - ground2
+    open1 = triples1 - ground1
+    open2 = triples2 - ground2
     if len(open1) != len(open2):
         return False
 

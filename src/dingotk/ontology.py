@@ -357,7 +357,7 @@ def load_ontology(g: Graph) -> OntologySchema:
                 getattr(properties[t.subject], bucket).append(pair)
 
     equivalences = []
-    mapping_triples = [t for t in g.triples if t.predicate in MAPPING_PREDICATES]
+    mapping_triples = [t for predicate in MAPPING_PREDICATES for t in g.match(None, predicate, None)]
     for t in sorted(mapping_triples, key=triple_sort_key):
         if not isinstance(t.subject, IRI) or not isinstance(t.object, IRI):
             continue

@@ -3,8 +3,10 @@
 Terms come in three variants (IRI, blank node, literal). Terms and triples are
 immutable named tuples, hashed and compared by value in C; each constructor
 validates in `__new__`, so build them by calling the class, never with
-`_make` or `_replace`. Graphs are sets of triples with an ordered prefix map;
-they never change after construction, so they are safe to share between
+`_make` or `_replace`. Graphs are sets of triples with an ordered prefix map,
+held in one subject-first index built with the graph and one predicate-first
+index built on first use. Their triples never change after construction, and
+building the second index is idempotent, so graphs are safe to share between
 threads.
 """
 
@@ -173,82 +175,149 @@ def triple_sort_key(triple: Triple) -> tuple:
     )
 
 
+def _checked_prefixes(prefixes: Optional[Mapping[str, str]]) -> dict:
+    checked = dict(prefixes) if prefixes else {}
+    for prefix, namespace in checked.items():
+        if not _PREFIX_RE.match(prefix):
+            raise ValueError(f"invalid prefix name: {prefix!r}")
+        if not is_absolute_iri(namespace) or _IRI_FORBIDDEN.search(namespace):
+            raise ValueError(f"prefix {prefix!r} maps to an invalid namespace: {namespace!r}")
+    return checked
+
+
+def _object_sort_key(triple: Triple) -> tuple:
+    return term_sort_key(triple[2])
+
+
 class Graph:
     """Immutable set of triples plus an ordered prefix map.
 
-    Duplicate triples collapse (RDF set semantics). Two nested indexes, as in
-    Hexastore (Weiss, Karras and Bernstein, VLDB 2008) cut down to the
-    orderings the toolkit reads, answer pattern lookups: subject ->
-    predicate -> triples and predicate -> object -> triples. Iteration and
-    `match` results follow the canonical serialization order, so everything
-    downstream is deterministic.
+    Duplicate triples collapse (RDF set semantics). The triples live only in
+    nested indexes, as in Hexastore (Weiss, Karras and Bernstein, VLDB 2008)
+    cut down to the orderings the toolkit reads. Subject -> predicate ->
+    triples is built with the graph. Predicate -> object -> triples is built
+    from it the first time a lookup binds a predicate but no subject, and
+    kept; building it twice gives equal indexes, so a graph is still safe to
+    share between threads. Iteration and `match` results follow the
+    canonical serialization order, so everything downstream is deterministic.
+
+    `len`, `in` and pattern lookups read the indexes. `triples` and `hash`
+    build a new frozenset, O(n) on every call.
     """
 
-    __slots__ = ("_triples", "_prefixes", "_spo", "_pos")
+    __slots__ = ("_prefixes", "_spo", "_pos", "_len")
 
     def __init__(
         self,
         triples: Iterable[Triple] = (),
         prefixes: Optional[Mapping[str, str]] = None,
     ) -> None:
-        self._triples = frozenset(triples)
-        self._prefixes = dict(prefixes) if prefixes else {}
-        for prefix, namespace in self._prefixes.items():
-            if not _PREFIX_RE.match(prefix):
-                raise ValueError(f"invalid prefix name: {prefix!r}")
-            if not is_absolute_iri(namespace) or _IRI_FORBIDDEN.search(namespace):
-                raise ValueError(f"prefix {prefix!r} maps to an invalid namespace: {namespace!r}")
-        # plain dicts and lists, never changed after this loop; a leaf starts
-        # as [t], sized exactly, because most leaves never grow
+        self._prefixes = _checked_prefixes(prefixes)
+        # plain dicts and lists, never changed after deduplication; a leaf
+        # starts as [t], sized exactly, because most leaves never grow
         spo: dict = {}
-        pos: dict = {}
+        grown = []
+        count = 0
         with gc_paused():
-            for t in self._triples:
+            for t in triples:
                 s, p, o = t
+                count += 1
                 by_p = spo.get(s)
                 if by_p is None:
                     spo[s] = {p: [t]}
                 elif p in by_p:
-                    by_p[p].append(t)
+                    leaf = by_p[p]
+                    if len(leaf) == 1:
+                        grown.append(leaf)
+                    leaf.append(t)
                 else:
                     by_p[p] = [t]
-                by_o = pos.get(p)
-                if by_o is None:
-                    pos[p] = {o: [t]}
-                elif o in by_o:
-                    by_o[o].append(t)
-                else:
-                    by_o[o] = [t]
+            # one dict per grown leaf, keyed by object: linear in its length
+            for leaf in grown:
+                unique = {t[2]: t for t in leaf}
+                if len(unique) < len(leaf):
+                    count -= len(leaf) - len(unique)
+                    leaf[:] = unique.values()
         self._spo = spo
-        self._pos = pos
+        self._pos = None
+        self._len = count
+
+    def _leaves(self) -> Iterator[list]:
+        for by_p in self._spo.values():
+            yield from by_p.values()
+
+    def _all(self) -> Iterator[Triple]:
+        for leaf in self._leaves():
+            yield from leaf
+
+    def _pos_index(self) -> dict:
+        pos = self._pos
+        if pos is None:
+            pos = {}
+            with gc_paused():
+                for by_p in self._spo.values():
+                    for p, leaf in by_p.items():
+                        by_o = pos.get(p)
+                        if by_o is None:
+                            by_o = pos[p] = {}
+                        for t in leaf:
+                            o = t[2]
+                            if o in by_o:
+                                by_o[o].append(t)
+                            else:
+                                by_o[o] = [t]
+            self._pos = pos
+        return pos
 
     @property
     def triples(self) -> frozenset:
-        return self._triples
+        return frozenset(self._all())
 
     @property
     def prefixes(self) -> Mapping[str, str]:
         return MappingProxyType(self._prefixes)
 
     def __len__(self) -> int:
-        return len(self._triples)
+        return self._len
 
-    def __contains__(self, triple: Triple) -> bool:
-        return triple in self._triples
+    def __contains__(self, triple: object) -> bool:
+        if not isinstance(triple, tuple) or len(triple) != 3:
+            return False
+        by_p = self._spo.get(triple[0])
+        return by_p is not None and triple in by_p.get(triple[1], ())
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples, key=triple_sort_key))
+        spo = self._spo
+        for subject in sorted(spo, key=term_sort_key):
+            by_p = spo[subject]
+            for predicate in sorted(by_p, key=predicate_sort_key):
+                yield from sorted(by_p[predicate], key=_object_sort_key)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._triples == other._triples and self._prefixes == other._prefixes
+        if self._len != other._len or self._prefixes != other._prefixes:
+            return False
+        # leaves hold no duplicates, so with equal counts, equal leaves for
+        # every (subject, predicate) of this graph leave none over in the other
+        theirs = other._spo
+        for s, by_p in self._spo.items():
+            their_by_p = theirs.get(s)
+            if their_by_p is None:
+                return False
+            for p, leaf in by_p.items():
+                their_leaf = their_by_p.get(p, ())
+                if leaf != their_leaf and (
+                    len(leaf) != len(their_leaf) or {t[2] for t in leaf} != {t[2] for t in their_leaf}
+                ):
+                    return False
+        return True
 
     def __hash__(self) -> int:
-        return hash(self._triples)
+        return hash(self.triples)
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._triples)} triples, {len(self._prefixes)} prefixes)"
+        return f"Graph({self._len} triples, {len(self._prefixes)} prefixes)"
 
     def _lookup(
         self, subject: Optional[Term], predicate: Optional[Term], object: Optional[Term]
@@ -264,14 +333,14 @@ class Graph:
             else:
                 found = [t for leaf in by_p.values() for t in leaf]
         elif predicate is not None:
-            by_o = self._pos.get(predicate)
+            by_o = self._pos_index().get(predicate)
             if by_o is None:
                 return ()
             if object is not None:
                 return by_o.get(object, ())
             return [t for leaf in by_o.values() for t in leaf]
         else:
-            found = self._triples
+            found = self._all()
         if object is not None:
             return [t for t in found if t[2] == object]
         return found
@@ -315,10 +384,9 @@ class Graph:
 
     def nodes(self) -> set:
         """Every term appearing in subject or object position."""
-        out = set()
-        for t in self._triples:
-            out.add(t.subject)
-            out.add(t.object)
+        out = set(self._spo)
+        for leaf in self._leaves():
+            out.update([t[2] for t in leaf])
         return out
 
     def blank_nodes(self) -> set:
@@ -328,4 +396,8 @@ class Graph:
         """Copy of this graph with extra prefix declarations merged in."""
         merged = dict(self._prefixes)
         merged.update(prefixes)
-        return Graph(self._triples, merged)
+        # the indexes never change, so the copy shares them
+        copy = Graph.__new__(Graph)
+        copy._prefixes = _checked_prefixes(merged)
+        copy._spo, copy._pos, copy._len = self._spo, self._pos, self._len
+        return copy

@@ -672,4 +672,8 @@ def serialize_turtle(graph: Graph) -> str:
                 rendered_objs = ", ".join(render(o) for o in objects)
                 parts.append(f"{rendered_pred} {rendered_objs}")
             lines.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
-        return "\n".join(lines) + "\n" if lines else ""
+        if not lines:
+            return ""
+        # the final "" gives the closing newline, so the output is built once
+        lines.append("")
+        return "\n".join(lines)

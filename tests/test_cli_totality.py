@@ -5,17 +5,22 @@ and '[ ]'/'( )' nests up to about 2 000 levels deep), then hit with
 single-token deletions and insertions, and fed to the commands that read
 Turtle, `query temporal-check` included. Mapping files, shape files and CSV
 and JSON tables are generated and mutated the same way and fed to `ingest`
-(with `--delimiter` and `--base`) and `validate --shapes`.
+(with `--delimiter` and `--base`) and `validate --shapes`. Whole argument
+lists are drawn from command names, flags, the bundled files, a file that is
+not UTF-8 and junk text.
 """
 
 import contextlib
 import io
 import json
+import os
+import shutil
 import tempfile
 from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import dingotk
 from dingotk.cli import run
 
 PREFIXES = (
@@ -316,3 +321,65 @@ def test_validate_with_generated_shapes_ends_in_an_exit_code(shapes):
         shape_file.write_text(shapes, encoding="utf-8")
         assert_exit_code(["validate", str(data), "--shapes", str(shape_file)])
         assert_exit_code(["validate", str(data), "--shapes", str(shape_file), "--format", "json"])
+
+
+# -- random argv: command names, flags, bundled files and junk ----------------
+
+BUNDLED = Path(dingotk.__file__).parent / "data"
+# relative to a scratch directory holding copies of the bundled files, so
+# that an --out drawn from these overwrites only a copy
+FILES = sorted(p.name for p in BUNDLED.iterdir()) + ["not-utf8.ttl", "not-utf8.csv", "missing.ttl", "subdir"]
+WORDS = [
+    "convert", "stats", "validate", "ingest", "query", "docgen", "grants-of", "projects-of", "ancestry",
+    "criteria", "participants", "beneficiaries", "non-beneficiary-participants", "temporal-check",
+]
+FLAGS = [
+    "--out", "--base", "--format", "--shapes", "--ontology", "--mapping", "--delimiter", "--input-format",
+    "--node", "--inherited", "-h", "--help", "--", "-", "--nope",
+]
+VALUES = [
+    "text", "json", "csv", ",", ";", "", "::", "http://x/", "urn:x:", "rel/", "http://x/a b", "_:b0", "_:",
+    "<https://w3id.org/dingo#g1>", "\udcff", "a\x00b",
+]
+
+
+@st.composite
+def argvs(draw):
+    word = st.one_of(
+        st.sampled_from(WORDS), st.sampled_from(FLAGS), st.sampled_from(FILES), st.sampled_from(VALUES),
+        st.text(max_size=6),
+    )
+    option = st.tuples(st.sampled_from(FLAGS), st.one_of(st.sampled_from(FILES), st.sampled_from(VALUES)))
+    argv = [w for part in draw(st.lists(st.one_of(word.map(lambda w: (w,)), option), max_size=5)) for w in part]
+    if draw(st.sampled_from([True, True, False])):  # most lists should reach a command
+        command = draw(st.sampled_from(WORDS[:6]))
+        subquery = [draw(st.sampled_from(WORDS[6:]))] if command == "query" else []
+        argv = [command, *subquery, draw(st.sampled_from(FILES)), *argv]
+    return argv
+
+
+@totality_settings(150)
+@given(argvs())
+@example(["convert", "not-utf8.ttl"])
+@example(["ingest", "not-utf8.csv", "--mapping", "example_grants.mapping"])
+@example(["ingest", "example_grants.csv", "--mapping", "not-utf8.ttl"])
+@example(["docgen", "subdir", "--out", "subdir"])
+@example(["query", "grants-of", "example_instances.ttl", "--node", "_:"])
+def test_random_argv_ends_in_an_exit_code(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in os.listdir(BUNDLED):
+            shutil.copy(BUNDLED / name, tmp)
+        for name in ("not-utf8.ttl", "not-utf8.csv"):
+            (Path(tmp) / name).write_bytes(b"@prefix x: <http://x/> .\nx:a x:b \"\xff\xfe\xc3\" .\n")
+        (Path(tmp) / "subdir").mkdir()
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+        finally:
+            os.chdir(cwd)
+    # exit 1 is for a nonconformant validate or temporal findings only
+    assert code in {0, 2, 3} or (code == 1 and ("validate" in argv or "temporal-check" in argv)), argv
+    assert "Traceback" not in err.getvalue()

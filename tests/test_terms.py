@@ -6,9 +6,12 @@ import random
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import dingotk
 
@@ -20,6 +23,7 @@ from dingotk.terms import (
     RDF_LANG_STRING,
     RDF_TYPE,
     Triple,
+    XSD_INTEGER,
     XSD_STRING,
     gc_paused,
     term_sort_key,
@@ -307,3 +311,169 @@ def test_terms_are_immutable_slotted_and_pickle_to_themselves():
             term.extra = None
         copy = pickle.loads(pickle.dumps(term))
         assert type(copy) is type(term) and copy == term
+
+
+# ---------------------------------------------------------------------------
+# Graph against the set of its input triples
+# ---------------------------------------------------------------------------
+
+SUBJECT_POOL = [IRI(EX + "a"), IRI(EX + "b"), IRI(EX + "c"), BlankNode("x"), BlankNode("y")]
+PREDICATE_POOL = [RDF_TYPE, IRI(EX + "p"), IRI(EX + "q")]
+OBJECT_POOL = SUBJECT_POOL + [
+    Literal("1"), Literal("1", XSD_INTEGER), Literal("1", RDF_LANG_STRING, "en"), Literal("a b")
+]
+ABSENT = IRI(EX + "absent")
+# one subject with HUB_SIZE objects on one predicate: a quadratic
+# deduplication of its leaf would not finish inside BUILD_SECONDS
+HUB, HUB_PREDICATE, HUB_SIZE = IRI(EX + "hub"), IRI(EX + "has"), 10_000
+BUILD_SECONDS = 1.0
+
+
+def _fresh(triple: Triple) -> Triple:
+    """An equal triple that shares no object with `triple`."""
+    return Triple(*(type(term)(*term) for term in triple))
+
+
+def _hub_triples() -> list:
+    return [Triple(HUB, HUB_PREDICATE, Literal(str(i), XSD_INTEGER)) for i in range(HUB_SIZE)]
+
+
+@st.composite
+def graph_inputs(draw):
+    """A list of triples with duplicates (some equal but not identical) in random order."""
+    triple = st.builds(
+        Triple, st.sampled_from(SUBJECT_POOL), st.sampled_from(PREDICATE_POOL), st.sampled_from(OBJECT_POOL)
+    )
+    items = draw(st.lists(triple, max_size=40))
+    if items:
+        items += [_fresh(t) for t in draw(st.lists(st.sampled_from(items), max_size=20))]
+    if draw(st.sampled_from([False] * 19 + [True])):
+        hub = _hub_triples()
+        items += hub + [_fresh(t) for t in hub[::3]]
+    draw(st.randoms(use_true_random=False)).shuffle(items)
+    return items
+
+
+def _needs_pos(pattern) -> bool:
+    return pattern[0] is None and pattern[1] is not None
+
+
+def _pattern_oracle(expected: set) -> dict:
+    """Every pattern that matches something, with the set of triples it matches."""
+    oracle: dict = {}
+    for t in expected:
+        for keep in itertools.product((True, False), repeat=3):
+            pattern = tuple(term if k else None for term, k in zip(t, keep))
+            oracle.setdefault(pattern, set()).add(t)
+    return oracle
+
+
+def _check_patterns(g: Graph, oracle: dict, patterns, build_pos: bool) -> None:
+    """`match`, `objects` and `subjects` for each pattern; only the lookups
+    that leave the predicate index unbuilt unless `build_pos`."""
+    checked = set()
+    for s, p, o in patterns:
+        for kind, args in (("match", (s, p, o)), ("objects", (s, p, None)), ("subjects", (None, p, o))):
+            if (kind, args) in checked or (_needs_pos(args) and not build_pos):
+                continue
+            checked.add((kind, args))
+            found = oracle.get(args, set())
+            if kind == "match":
+                assert g.match(*args) == sorted(found, key=triple_sort_key), args
+            elif kind == "objects":
+                assert g.objects(s, p) == sorted({t.object for t in found}, key=term_sort_key), args
+            else:
+                assert g.subjects(p, o) == sorted({t.subject for t in found}, key=term_sort_key), args
+
+
+def _check_set(g: Graph, expected: set, members: list, rng: random.Random) -> None:
+    assert len(g) == len(expected)
+    assert g.triples == expected
+    assert list(g) == sorted(expected, key=triple_sort_key)
+    assert all(t in g and _fresh(t) in g for t in members)
+    assert Triple(ABSENT, ABSENT, ABSENT) not in g and Triple(HUB, HUB_PREDICATE, ABSENT) not in g
+    assert None not in g and ABSENT not in g and Literal("1") not in g
+    shuffled = list(expected)
+    rng.shuffle(shuffled)
+    same = Graph(shuffled, g.prefixes)
+    assert g == same and same == g and hash(g) == hash(same)
+    assert g != Graph(expected, {"ex": EX})
+    if expected:
+        dropped = shuffled.pop()
+        assert g != Graph(shuffled) and Graph(shuffled) != g
+        # as many triples, one of them different
+        swapped = Graph([*shuffled, Triple(dropped.subject, dropped.predicate, ABSENT)])
+        assert len(swapped) == len(g) and g != swapped and swapped != g
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graph_inputs(), st.randoms(use_true_random=False))
+@example(_hub_triples() + [_fresh(t) for t in _hub_triples()[::2]], random.Random(0))
+def test_graph_agrees_with_the_set_of_its_input_triples(items, rng):
+    expected = set(items)
+    start = time.process_time()
+    g = Graph(items)
+    assert time.process_time() - start < BUILD_SECONDS
+    assert g._pos is None
+    oracle = _pattern_oracle(expected)
+    absent = [(ABSENT, None, None), (None, ABSENT, None), (None, None, ABSENT), (HUB, ABSENT, None)]
+    patterns = [*oracle, *absent]
+    # the hub's leaf and object-only scans are long, so big inputs are sampled
+    if len(patterns) > 60:
+        patterns = rng.sample(patterns, 60)
+    members = rng.sample(items, min(len(items), 100))
+    for built in (False, True):
+        _check_set(g, expected, members, rng)
+        _check_patterns(g, oracle, patterns, built)
+        assert (g._pos is None) is (not built)
+        copy = pickle.loads(pickle.dumps(g))
+        assert (copy._pos is None) is (not built)
+        assert copy == g and hash(copy) == hash(g) and list(copy) == list(g)
+        _check_patterns(copy, oracle, patterns[:20], built)
+        g.match(None, ABSENT, None)  # builds the predicate index for the second round
+    assert g._pos is not None
+
+
+def test_threads_that_race_to_build_the_predicate_index_all_read_it_right():
+    g = random_graph(random.Random(5), max_triples=400, max_blanks=8)
+    predicates = sorted({t.predicate for t in g}, key=term_sort_key)
+    expected = {p: sorted(scan_matching(g, None, p, None), key=triple_sort_key) for p in predicates}
+    results, errors = [], []
+
+    def read(graph, start):
+        try:
+            start.wait(timeout=10)
+            results.append({p: graph.match(None, p, None) for p in predicates})
+        except Exception as exc:  # reported below, with the thread's result missing
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            graph, start = Graph(g.match(), g.prefixes), threading.Barrier(6)
+            threads = [threading.Thread(target=read, args=(graph, start)) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(results) == 30 and all(found == expected for found in results)
+
+
+def test_with_prefixes_merges_prefixes_and_keeps_the_triples():
+    g = random_graph(random.Random(9), max_triples=60)
+    for built in (False, True):
+        if built:
+            g.match(None, RDF_TYPE, None)
+        copy = g.with_prefixes({"zz": EX + "zz#", "": EX})
+        assert copy.prefixes == {**g.prefixes, "zz": EX + "zz#", "": EX}
+        assert "zz" not in g.prefixes
+        assert copy == Graph(g, copy.prefixes) and list(copy) == list(g) and len(copy) == len(g)
+        for pattern in ((None, RDF_TYPE, None), (None, None, None), (IRI(EX + "a"), None, None)):
+            assert copy.match(*pattern) == g.match(*pattern)
+        with pytest.raises(ValueError):
+            g.with_prefixes({"bad prefix": EX})

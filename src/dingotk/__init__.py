@@ -20,7 +20,7 @@ _EXPORTS = {
         "load_ontology",
     ),
     "queries": (
-        "Conventions", "FundingLink", "Participation", "SchemeCycleError", "TemporalViolation",
+        "FundingLink", "Participation", "SchemeCycleError", "TemporalViolation",
         "UntypedNodeWarning", "beneficiaries_of", "check_temporal", "criteria_for_scheme",
         "funding_links", "grants_funding_project", "non_beneficiary_participants",
         "participants_with_roles", "projects_funded_by", "scheme_ancestry",

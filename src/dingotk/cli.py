@@ -14,7 +14,7 @@ import warnings
 from importlib import resources
 from typing import Optional
 
-from .ontology import DINGO_BASE, OntologySchema, load_ontology
+from .ontology import DINGO_BASE, DingoTerms, OntologySchema, load_ontology
 from .terms import BlankNode, DingoError, Graph, IRI, Term, gc_paused
 from .turtle import parse_turtle, serialize_turtle
 
@@ -36,7 +36,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 # subquery -> (query over (queries module, data, schema, node, inherited,
-# conventions), whether to sort its result); "ancestry" keeps its
+# vocabulary), whether to sort its result); "ancestry" keeps its
 # nearest-first order. Each command imports the modules it runs, so that the
 # others stay unloaded in a one-shot process.
 _NODE_QUERIES = {
@@ -69,11 +69,6 @@ def _load_graph(path: Optional[str], base: Optional[str] = None) -> Graph:
 
 def _load_schema(path: Optional[str]) -> OntologySchema:
     return load_ontology(_load_graph(path))
-
-
-def format_term(term: Term) -> str:
-    """N-Triples-style rendering used by all line-oriented output."""
-    return repr(term)
 
 
 def _parse_node(text: str) -> Term:
@@ -190,7 +185,7 @@ def _cmd_validate(args) -> int:
             "conformant": report.conformant,
             "violations": [
                 {
-                    "focus": format_term(v.focus),
+                    "focus": repr(v.focus),
                     "shape": v.shape,
                     "predicate": v.predicate.value if v.predicate else None,
                     "code": v.code,
@@ -245,7 +240,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _render_terms(found, fmt: str) -> int:
-    rendered = [format_term(t) for t in found]
+    rendered = [repr(t) for t in found]
     if fmt == "json":
         print(json.dumps({"results": rendered}, indent=2))
     else:
@@ -261,14 +256,14 @@ def _cmd_query(args) -> int:
 
     data = parse_turtle(_read_file(args.data))
     schema = _load_schema(args.ontology)
-    conventions = queries.Conventions.for_base(args.base)
+    vocab = DingoTerms(args.base)
 
     if args.subquery == "temporal-check":
-        violations = queries.check_temporal(data, conventions)
+        violations = queries.check_temporal(data, vocab)
         if args.format == "json":
             payload = [
                 {
-                    "node": format_term(v.node),
+                    "node": repr(v.node),
                     "start_property": v.property_pair[0].value,
                     "end_property": v.property_pair[1].value,
                     "start_value": v.start_value,
@@ -281,7 +276,7 @@ def _cmd_query(args) -> int:
         else:
             for v in violations:
                 print(
-                    f"[{v.code}] {format_term(v.node)} "
+                    f"[{v.code}] {v.node!r} "
                     f"<{v.property_pair[0].value}> {v.start_value!r} "
                     f"> <{v.property_pair[1].value}> {v.end_value!r}"
                 )
@@ -291,21 +286,21 @@ def _cmd_query(args) -> int:
     query, ordered = _NODE_QUERIES[args.subquery]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", queries.UntypedNodeWarning)
-        found = query(queries, data, schema, node, args.inherited, conventions)
+        found = query(queries, data, schema, node, args.inherited, vocab)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.subquery != "participants":
-        return _render_terms(sorted(found, key=format_term) if ordered else found, args.format)
+        return _render_terms(sorted(found, key=repr) if ordered else found, args.format)
     if args.format == "json":
         payload = [
-            {"agent": format_term(p.agent), "role": format_term(p.role) if p.role else None}
+            {"agent": repr(p.agent), "role": repr(p.role) if p.role else None}
             for p in found
         ]
         print(json.dumps({"results": payload}, indent=2))
     else:
         for p in found:
-            role = format_term(p.role) if p.role else "-"
-            print(f"{format_term(p.agent)}\t{role}")
+            role = repr(p.role) if p.role else "-"
+            print(f"{p.agent!r}\t{role}")
     return EXIT_OK
 
 

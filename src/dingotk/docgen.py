@@ -317,20 +317,22 @@ def _esc(text: str) -> str:
     return html.escape(text, quote=True)
 
 
-def _display_name(entry: DocEntry, lang_preference: tuple) -> str:
-    for lang in lang_preference:
-        for text, language in entry.labels:
-            if language == lang:
-                return text
+# an entry is named by its first label in this language, else its first label
+_DISPLAY_LANGUAGE = "en"
+
+
+def _display_name(entry: DocEntry) -> str:
+    for text, language in entry.labels:
+        if language == _DISPLAY_LANGUAGE:
+            return text
     if entry.labels:
         return entry.labels[0][0]
     return local_name(entry.iri)
 
 
 class _HtmlWriter:
-    def __init__(self, model: DocModel, lang_preference: tuple) -> None:
+    def __init__(self, model: DocModel) -> None:
         self.model = model
-        self.lang_preference = lang_preference
         self.anchors = {}
         for entry in model.class_entries + model.property_entries + model.individual_entries:
             self.anchors[entry.iri] = entry.anchor
@@ -350,7 +352,7 @@ class _HtmlWriter:
         return "; ".join(rendered)
 
     def _entry(self, entry: DocEntry) -> None:
-        name = _display_name(entry, self.lang_preference)
+        name = _display_name(entry)
         self.out.append(f'<section class="entry" id="{entry.anchor}">')
         self.out.append(f"<h3>{_esc(name)}</h3>")
         self.out.append(f'<p class="iri"><code>{_esc(entry.iri.value)}</code> — {entry.kind}</p>')
@@ -381,7 +383,7 @@ class _HtmlWriter:
         if entries:
             self.out.append("<ul>")
             for entry in entries:
-                name = _display_name(entry, self.lang_preference)
+                name = _display_name(entry)
                 self.out.append(f'<li><a href="#{entry.anchor}">{_esc(name)}</a></li>')
             self.out.append("</ul>")
         self.out.append("</li>")
@@ -464,6 +466,6 @@ class _HtmlWriter:
         return "\n".join(self.out) + "\n"
 
 
-def render_html(model: DocModel, lang_preference: tuple = ("en",)) -> str:
+def render_html(model: DocModel) -> str:
     """Deterministic single-file HTML5 for a documentation model."""
-    return _HtmlWriter(model, lang_preference).render()
+    return _HtmlWriter(model).render()

@@ -5,11 +5,11 @@ subsumption matters). Messy data never raises here: untyped nodes in funding
 positions produce UntypedNodeWarning, and strictness belongs to the shapes
 validator.
 
-The predicate vocabulary is configurable through Conventions; the defaults
-match the bundled ontology snapshot and recognize both orientations of every
-paired relation (funds/funded_by, has_criterion/criterion_of, ...), as well
-as both the direct and the reified style of attaching participants to
-projects.
+The vocabulary is a DingoTerms, the DINGO terms minted against one base IRI;
+the default is the bundled ontology's base. Every query recognizes both
+orientations of each paired relation (funds/funded_by,
+has_criterion/criterion_of, ...), as well as both the direct and the reified
+style of attaching participants to projects.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .dates import compare_partial_dates, parse_partial_date
-from .ontology import DINGO_BASE, DingoTerms, OntologySchema, find_cycle
+from .ontology import DingoTerms, OntologySchema, find_cycle
 from .terms import DingoError, Graph, IRI, Literal, Term, term_sort_key
 
 
@@ -60,57 +60,7 @@ class TemporalViolation:
     code: str  # "start-after-end" or "unparseable-date"
 
 
-@dataclass(frozen=True)
-class Conventions:
-    """Predicate and class vocabulary the queries navigate with."""
-
-    project_class: IRI
-    grant_class: IRI
-    scheme_class: IRI
-    funds: IRI
-    funded_by: IRI
-    has_beneficiary: IRI
-    beneficiary_of: IRI
-    has_participant: IRI
-    participates_in: IRI
-    has_participation: IRI
-    participant: IRI
-    in_role: IRI
-    has_role: IRI
-    has_criterion: IRI
-    criterion_of: IRI
-    subscheme_of: IRI
-    has_subscheme: IRI
-    start_properties: tuple = ()
-    end_properties: tuple = ()
-
-    @classmethod
-    def for_base(cls, base: str = DINGO_BASE) -> "Conventions":
-        d = DingoTerms(base)
-        return cls(
-            project_class=d.Project,
-            grant_class=d.Grant,
-            scheme_class=d.FundingScheme,
-            funds=d.funds,
-            funded_by=d.funded_by,
-            has_beneficiary=d.has_beneficiary,
-            beneficiary_of=d.beneficiary_of,
-            has_participant=d.has_participant,
-            participates_in=d.participates_in,
-            has_participation=d.has_participation,
-            participant=d.participant,
-            in_role=d.in_role,
-            has_role=d.has_role,
-            has_criterion=d.has_criterion,
-            criterion_of=d.criterion_of,
-            subscheme_of=d.subscheme_of,
-            has_subscheme=d.has_subscheme,
-            start_properties=(d.start_time, d.inception),
-            end_properties=(d.end_time,),
-        )
-
-
-DEFAULT_CONVENTIONS = Conventions.for_base()
+DEFAULT_TERMS = DingoTerms()
 
 
 def _paired_neighbors(data: Graph, node: Term, outgoing: IRI, incoming: IRI) -> set:
@@ -134,43 +84,43 @@ def grants_funding_project(
     data: Graph,
     schema: Optional[OntologySchema],
     project: Term,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> set:
     """All grants linked to the project by the funding relation."""
-    _warn_if_untyped(data, schema, project, conventions.project_class)
-    return _paired_neighbors(data, project, conventions.funded_by, conventions.funds)
+    _warn_if_untyped(data, schema, project, vocab.Project)
+    return _paired_neighbors(data, project, vocab.funded_by, vocab.funds)
 
 
 def projects_funded_by(
     data: Graph,
     schema: Optional[OntologySchema],
     grant: Term,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> set:
     """All projects the grant funds."""
-    _warn_if_untyped(data, schema, grant, conventions.grant_class)
-    return _paired_neighbors(data, grant, conventions.funds, conventions.funded_by)
+    _warn_if_untyped(data, schema, grant, vocab.Grant)
+    return _paired_neighbors(data, grant, vocab.funds, vocab.funded_by)
 
 
-def funding_links(data: Graph, conventions: Conventions = DEFAULT_CONVENTIONS) -> set:
+def funding_links(data: Graph, vocab: DingoTerms = DEFAULT_TERMS) -> set:
     """Every grant/project pair linked by the funding relation, normalized."""
     links = {
-        FundingLink(t.subject, t.object) for t in data.match(None, conventions.funds, None)
+        FundingLink(t.subject, t.object) for t in data.match(None, vocab.funds, None)
     }
     links |= {
-        FundingLink(t.object, t.subject) for t in data.match(None, conventions.funded_by, None)
+        FundingLink(t.object, t.subject) for t in data.match(None, vocab.funded_by, None)
     }
     return links
 
 
-def _parents_of(data: Graph, scheme: Term, conventions: Conventions) -> set:
-    return _paired_neighbors(data, scheme, conventions.subscheme_of, conventions.has_subscheme)
+def _parents_of(data: Graph, scheme: Term, vocab: DingoTerms) -> set:
+    return _paired_neighbors(data, scheme, vocab.subscheme_of, vocab.has_subscheme)
 
 
 def scheme_ancestry(
     data: Graph,
     scheme: Term,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> list:
     """Parent schemes from direct parent to root, breadth-first.
 
@@ -179,7 +129,7 @@ def scheme_ancestry(
     Cyclic parent data raises SchemeCycleError naming the members.
     """
     cycle = find_cycle(
-        [scheme], lambda node: sorted(_parents_of(data, node, conventions), key=term_sort_key)
+        [scheme], lambda node: sorted(_parents_of(data, node, vocab), key=term_sort_key)
     )
     if cycle is not None:
         raise SchemeCycleError(cycle)
@@ -190,7 +140,7 @@ def scheme_ancestry(
     while frontier:
         layer: set = set()
         for node in frontier:
-            layer |= _parents_of(data, node, conventions) - seen
+            layer |= _parents_of(data, node, vocab) - seen
         ordered = sorted(layer, key=term_sort_key)
         ancestry.extend(ordered)
         seen |= layer
@@ -202,15 +152,15 @@ def criteria_for_scheme(
     data: Graph,
     scheme: Term,
     inherited: bool = False,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> set:
     """Criteria attached to the scheme; with inherited=True, along its ancestry."""
     targets = [scheme]
     if inherited:
-        targets.extend(scheme_ancestry(data, scheme, conventions))
+        targets.extend(scheme_ancestry(data, scheme, vocab))
     found: set = set()
     for node in targets:
-        found |= _paired_neighbors(data, node, conventions.has_criterion, conventions.criterion_of)
+        found |= _paired_neighbors(data, node, vocab.has_criterion, vocab.criterion_of)
     return found
 
 
@@ -218,7 +168,7 @@ def participants_with_roles(
     data: Graph,
     schema: Optional[OntologySchema],
     project: Term,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> list:
     """Participations of a project, role attached when the data provides one.
 
@@ -227,18 +177,18 @@ def participants_with_roles(
     """
     entries: set = set()
     direct_agents = _paired_neighbors(
-        data, project, conventions.has_participant, conventions.participates_in
+        data, project, vocab.has_participant, vocab.participates_in
     )
     for agent in direct_agents:
-        roles = data.objects(agent, conventions.has_role)
+        roles = data.objects(agent, vocab.has_role)
         if roles:
             for role in roles:
                 entries.add(Participation(project, agent, role))
         else:
             entries.add(Participation(project, agent, None))
-    for pnode in data.objects(project, conventions.has_participation):
-        agents = data.objects(pnode, conventions.participant)
-        roles = data.objects(pnode, conventions.in_role)
+    for pnode in data.objects(project, vocab.has_participation):
+        agents = data.objects(pnode, vocab.participant)
+        roles = data.objects(pnode, vocab.in_role)
         for agent in agents:
             if roles:
                 for role in roles:
@@ -254,32 +204,29 @@ def participants_with_roles(
 def beneficiaries_of(
     data: Graph,
     grant: Term,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> set:
     """Agents the grant is awarded to."""
-    return _paired_neighbors(data, grant, conventions.has_beneficiary, conventions.beneficiary_of)
+    return _paired_neighbors(data, grant, vocab.has_beneficiary, vocab.beneficiary_of)
 
 
 def non_beneficiary_participants(
     data: Graph,
     schema: Optional[OntologySchema],
     project: Term,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> set:
     """Project participants that no grant funding the project is awarded to."""
-    agents = {p.agent for p in participants_with_roles(data, schema, project, conventions)}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UntypedNodeWarning)
-        grants = grants_funding_project(data, schema, project, conventions)
+    agents = {p.agent for p in participants_with_roles(data, schema, project, vocab)}
     benefiting: set = set()
-    for grant in grants:
-        benefiting |= beneficiaries_of(data, grant, conventions)
+    for grant in _paired_neighbors(data, project, vocab.funded_by, vocab.funds):
+        benefiting |= beneficiaries_of(data, grant, vocab)
     return agents - benefiting
 
 
 def check_temporal(
     data: Graph,
-    conventions: Conventions = DEFAULT_CONVENTIONS,
+    vocab: DingoTerms = DEFAULT_TERMS,
 ) -> list:
     """Start/end ordering violations over every node carrying both kinds.
 
@@ -290,11 +237,11 @@ def check_temporal(
     violations: set = set()
     start_values: dict = {}
     end_values: dict = {}
-    for prop in conventions.start_properties:
+    for prop in (vocab.start_time, vocab.inception):
         for t in data.match(None, prop, None):
             if isinstance(t.object, Literal):
                 start_values.setdefault(t.subject, []).append((prop, t.object.lexical))
-    for prop in conventions.end_properties:
+    for prop in (vocab.end_time,):
         for t in data.match(None, prop, None):
             if isinstance(t.object, Literal):
                 end_values.setdefault(t.subject, []).append((prop, t.object.lexical))

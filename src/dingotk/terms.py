@@ -82,6 +82,34 @@ def is_absolute_iri(value: str) -> bool:
     return bool(_SCHEME_RE.match(value))
 
 
+_CHAR_ESCAPES = {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+    "\b": "\\b",
+    "\f": "\\f",
+}
+
+
+# the characters escape_string changes: quote, backslash, C0 controls and DEL
+_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
+
+
+def _escape_char(match: re.Match) -> str:
+    c = match.group()
+    return _CHAR_ESCAPES.get(c) or f"\\u{ord(c):04X}"
+
+
+def escape_string(text: str) -> str:
+    """The text as the body of a quoted Turtle or N-Triples string.
+
+    Quote, backslash, C0 controls and DEL are escaped; nothing else changes.
+    """
+    return _NEEDS_ESCAPE.sub(_escape_char, text)
+
+
 class IRI(namedtuple("IRI", "value")):
     __slots__ = ()
 
@@ -125,11 +153,12 @@ class Literal(namedtuple("Literal", "lexical datatype language")):
         return tuple.__new__(cls, (lexical, datatype, language))
 
     def __repr__(self) -> str:
+        body = escape_string(self.lexical)
         if self.language:
-            return f'"{self.lexical}"@{self.language}'
+            return f'"{body}"@{self.language}'
         if self.datatype == XSD_STRING:
-            return f'"{self.lexical}"'
-        return f'"{self.lexical}"^^<{self.datatype}>'
+            return f'"{body}"'
+        return f'"{body}"^^<{self.datatype}>'
 
 
 Term = Union[IRI, BlankNode, Literal]

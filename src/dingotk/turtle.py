@@ -35,6 +35,7 @@ from .terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    escape_string,
     gc_paused,
     is_absolute_iri,
 )
@@ -581,30 +582,6 @@ _DECIMAL_LEX = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
 _DOUBLE_LEX = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+$")
 _PN_LOCAL_OK = re.compile(r"^$|^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 
-_CHAR_ESCAPES = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-    "\b": "\\b",
-    "\f": "\\f",
-}
-
-
-# the characters _escape_string changes: quote, backslash, C0 controls and DEL
-_NEEDS_ESCAPE = re.compile(r'["\\\x00-\x1f\x7f]')
-
-
-def _escape_char(match: re.Match) -> str:
-    c = match.group()
-    return _CHAR_ESCAPES.get(c) or f"\\u{ord(c):04X}"
-
-
-def _escape_string(text: str) -> str:
-    return _NEEDS_ESCAPE.sub(_escape_char, text)
-
-
 def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
     """A function that writes a term as Turtle, abbreviating IRIs with prefixes.
 
@@ -639,10 +616,10 @@ def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
 
 def _render_literal(literal: Literal, render_iri: Callable[[str], str]) -> str:
     if literal.language:
-        return f'"{_escape_string(literal.lexical)}"@{literal.language}'
+        return f'"{escape_string(literal.lexical)}"@{literal.language}'
     dt = literal.datatype
     if dt == XSD_STRING:
-        return f'"{_escape_string(literal.lexical)}"'
+        return f'"{escape_string(literal.lexical)}"'
     if dt == XSD_INTEGER and _INTEGER_LEX.match(literal.lexical):
         return literal.lexical
     if dt == XSD_DECIMAL and _DECIMAL_LEX.match(literal.lexical):
@@ -651,7 +628,7 @@ def _render_literal(literal: Literal, render_iri: Callable[[str], str]) -> str:
         return literal.lexical
     if dt == XSD_BOOLEAN and literal.lexical in ("true", "false"):
         return literal.lexical
-    return f'"{_escape_string(literal.lexical)}"^^{render_iri(dt)}'
+    return f'"{escape_string(literal.lexical)}"^^{render_iri(dt)}'
 
 
 def serialize_turtle(graph: Graph) -> str:

@@ -5,7 +5,7 @@ from html import escape
 import pytest
 
 from dingotk import cli, queries
-from dingotk.cli import format_term, run
+from dingotk.cli import run
 from dingotk.ontology import DINGO_BASE, DingoTerms
 from dingotk.queries import grants_funding_project, scheme_ancestry
 from dingotk.turtle import parse_turtle, serialize_turtle
@@ -165,9 +165,9 @@ def test_query_grants_matches_in_process_results(data_file, capsys, snapshot_sch
     out = capsys.readouterr().out
     expected = sorted(
         grants_funding_project(parse_turtle(DATA), snapshot_schema, IRI("http://x/p1")),
-        key=format_term,
+        key=repr,
     )
-    assert out == "".join(f"{format_term(t)}\n" for t in expected)
+    assert out == "".join(f"{repr(t)}\n" for t in expected)
     assert out == "<http://x/g1>\n<http://x/g2>\n"
 
 
@@ -177,7 +177,7 @@ def test_query_ancestry_order(data_file, capsys):
     assert run(["query", "ancestry", data_file, "--node", "http://x/s3"]) == 0
     out = capsys.readouterr().out
     expected = scheme_ancestry(parse_turtle(DATA), IRI("http://x/s3"))
-    assert out == "".join(f"{format_term(t)}\n" for t in expected)
+    assert out == "".join(f"{repr(t)}\n" for t in expected)
     assert out == "<http://x/s2>\n<http://x/s1>\n"
 
 
@@ -238,20 +238,35 @@ def test_query_json_format(data_file, capsys):
     assert payload == {"results": ["<http://x/g1>", "<http://x/g2>"]}
 
 
+def test_query_literal_results_print_escaped(tmp_path, capsys):
+    path = tmp_path / "literals.ttl"
+    path.write_text(
+        f"@prefix d: <{DINGO_BASE}> .\n"
+        '<http://x/g> d:has_beneficiary """two\nlines""", "say \\"hi\\"" .\n',
+        encoding="utf-8",
+    )
+    escaped = ['"say \\"hi\\""', '"two\\nlines"']
+    argv = ["query", "beneficiaries", str(path), "--node", "http://x/g"]
+    assert run(argv) == 0
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in escaped)
+    assert run(argv + ["--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"results": escaped}
+
+
 EX = "http://example.org/data/"
 
 
 def _terms(found):
-    return [format_term(t) for t in found]
+    return [repr(t) for t in found]
 
 
 def _participations(found):
-    return [f"{format_term(p.agent)}\t{format_term(p.role) if p.role else '-'}" for p in found]
+    return [f"{repr(p.agent)}\t{repr(p.role) if p.role else '-'}" for p in found]
 
 
 def _temporal(found):
     return [
-        f"[{v.code}] {format_term(v.node)} <{v.property_pair[0].value}> {v.start_value!r} "
+        f"[{v.code}] {repr(v.node)} <{v.property_pair[0].value}> {v.start_value!r} "
         f"> <{v.property_pair[1].value}> {v.end_value!r}"
         for v in found
     ]
@@ -261,18 +276,18 @@ def _temporal(found):
 # in-process query
 QUERY_CASES = [
     ("grants-of", "project-qsense",
-     lambda d, s, n: _terms(sorted(queries.grants_funding_project(d, s, n), key=format_term))),
+     lambda d, s, n: _terms(sorted(queries.grants_funding_project(d, s, n), key=repr))),
     ("projects-of", "grant-801001",
-     lambda d, s, n: _terms(sorted(queries.projects_funded_by(d, s, n), key=format_term))),
+     lambda d, s, n: _terms(sorted(queries.projects_funded_by(d, s, n), key=repr))),
     ("ancestry", "erc-stg-2019", lambda d, s, n: _terms(queries.scheme_ancestry(d, n))),
     ("criteria", "erc-stg-2019",
-     lambda d, s, n: _terms(sorted(queries.criteria_for_scheme(d, n), key=format_term))),
+     lambda d, s, n: _terms(sorted(queries.criteria_for_scheme(d, n), key=repr))),
     ("participants", "project-qsense",
      lambda d, s, n: _participations(queries.participants_with_roles(d, s, n))),
     ("beneficiaries", "grant-801001",
-     lambda d, s, n: _terms(sorted(queries.beneficiaries_of(d, n), key=format_term))),
+     lambda d, s, n: _terms(sorted(queries.beneficiaries_of(d, n), key=repr))),
     ("non-beneficiary-participants", "project-qsense",
-     lambda d, s, n: _terms(sorted(queries.non_beneficiary_participants(d, s, n), key=format_term))),
+     lambda d, s, n: _terms(sorted(queries.non_beneficiary_participants(d, s, n), key=repr))),
     ("temporal-check", None, lambda d, s, n: _temporal(queries.check_temporal(d))),
 ]
 

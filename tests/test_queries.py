@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from dingotk.ontology import DINGO_BASE, DingoTerms
+from dingotk.ontology import DINGO_BASE, DingoTerms, OntologySchema
 from dingotk.queries import (
     FundingLink,
     Participation,
@@ -338,6 +338,24 @@ def test_all_participants_are_beneficiaries_gives_empty(snapshot_schema):
         "x:uni a d:Organisation .\n"
     )
     assert non_beneficiary_participants(data, snapshot_schema, iri("p1")) == set()
+
+
+def test_non_beneficiary_participants_scans_no_types_and_warns_nothing(snapshot_schema, monkeypatch):
+    import warnings as w
+
+    untyped = fixture(
+        "x:p1 d:has_participant x:carol, x:uni ; d:funded_by x:g1 .\n"
+        "x:g1 d:has_beneficiary x:uni .\n"
+    )
+
+    def no_scan(self, data, class_iri):
+        raise AssertionError("instances_of scanned the data")
+
+    monkeypatch.setattr(OntologySchema, "instances_of", no_scan)
+    with w.catch_warnings():
+        w.simplefilter("error")
+        for data in (PARTICIPANT_NOT_BENEFICIARY, untyped):
+            assert non_beneficiary_participants(data, snapshot_schema, iri("p1")) == {iri("carol")}
 
 
 def test_non_beneficiary_set_algebra_oracle(snapshot_schema):

@@ -20,12 +20,12 @@ from dingotk.terms import (
     XSD_DOUBLE,
     XSD_INTEGER,
     XSD_STRING,
+    escape_string,
 )
 from dingotk.turtle import (
     RelativeIriError,
     TurtleParseError,
     UndefinedPrefixError,
-    _escape_string,
     parse_turtle,
     serialize_turtle,
     term_renderer,
@@ -510,7 +510,8 @@ ESCAPE_TEXTS = st.text(
 @settings(max_examples=300, derandomize=True, database=None)
 @given(ESCAPE_TEXTS)
 def test_escape_string_matches_the_per_character_reference(text):
-    assert _escape_string(text) == _escape_string_per_character(text)
+    assert escape_string(text) == _escape_string_per_character(text)
+    assert repr(Literal(text)) == f'"{_escape_string_per_character(text)}"'
 
 
 @settings(max_examples=100, derandomize=True, database=None)

@@ -8,6 +8,7 @@ output goes to stdout, diagnostics to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import warnings
@@ -209,12 +210,7 @@ def _cmd_ingest(args) -> int:
         fmt = "json" if args.table.lower().endswith(".json") else "csv"
     mapping = ingest.parse_mapping(_read_file(args.mapping))
     if args.base:
-        mapping = ingest.MappingSpec(
-            base_iri=args.base,
-            entities=mapping.entities,
-            columns=mapping.columns,
-            prefixes=mapping.prefixes,
-        )
+        mapping = dataclasses.replace(mapping, base_iri=args.base)
     text = _read_file(args.table)
     if fmt == "json":
         rows = ingest.read_json_records(text)

@@ -165,6 +165,8 @@ class _MappingParser:
         self.base: Optional[str] = None
         self.columns: list = []
         self.entities: list = []
+        self.entity_lines: list = []  # header line of each entity
+        self.ref_lines: list = []  # (entity name, referenced name, map line)
 
     def _resolve(self, token: str, line_no: int) -> IRI:
         if token.startswith("<"):
@@ -210,15 +212,14 @@ class _MappingParser:
             raise MappingParseError("missing 'base <iri>' declaration", len(self.lines) or 1)
         if not self.entities:
             raise MappingParseError("mapping declares no entities", len(self.lines) or 1)
-        names = [e.name for e in self.entities]
-        if len(names) != len(set(names)):
-            raise MappingParseError("duplicate entity names", len(self.lines))
-        for entity in self.entities:
-            for rule in entity.property_rules:
-                if rule.value_kind == "ref" and rule.ref_entity not in names:
-                    raise MappingParseError(
-                        f"entity {entity.name}: ref to undeclared entity {rule.ref_entity!r}", 1
-                    )
+        names: set = set()
+        for entity, line_no in zip(self.entities, self.entity_lines):
+            if entity.name in names:
+                raise MappingParseError("duplicate entity names", line_no)
+            names.add(entity.name)
+        for name, ref, line_no in self.ref_lines:
+            if ref not in names:
+                raise MappingParseError(f"entity {name}: ref to undeclared entity {ref!r}", line_no)
         return MappingSpec(
             base_iri=self.base,
             entities=tuple(self.entities),
@@ -228,6 +229,7 @@ class _MappingParser:
 
     def _parse_entity(self, header, i: int) -> int:
         name = header.group(1)
+        self.entity_lines.append(i)
         entity_class = self._resolve(header.group(2), i)
         key_columns: list = []
         rules: list = []
@@ -248,7 +250,10 @@ class _MappingParser:
                     if c.strip()
                 )
             elif match := _MAP_LINE.match(line):
-                rules.append(self._parse_map(match, line_no))
+                rule = self._parse_map(match, line_no)
+                rules.append(rule)
+                if rule.value_kind == "ref":
+                    self.ref_lines.append((name, rule.ref_entity, line_no))
             else:
                 raise MappingParseError(f"cannot parse: {line!r}", line_no)
         if not key_columns:

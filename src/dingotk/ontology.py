@@ -2,7 +2,9 @@
 
 load_ontology digests an OWL/RDFS graph into an OntologySchema that the
 validator, query and documentation layers share. Schemas are read-only after
-loading; concurrent readers are safe.
+loading; concurrent readers are safe. `subclasses_of` fills one set per class
+on first use and keeps it; two threads that race store equal sets and either
+one is kept.
 """
 
 from __future__ import annotations
@@ -137,45 +139,46 @@ class OntologySchema:
         self.properties = properties
         self.namespaces = namespaces
         self.ontology_iri = ontology_iri
+        # parent -> its registered direct subclasses, the reverse of
+        # ClassInfo.direct_superclasses
+        self._direct_subclasses: dict = {}
+        for iri, info in classes.items():
+            for parent in info.direct_superclasses:
+                self._direct_subclasses.setdefault(parent, []).append(iri)
+        self._subclass_sets: dict = {}  # class -> frozenset, filled by subclasses_of
 
     def superclass_closure(self, class_iri: IRI) -> set:
         """All classes transitively reachable via direct superclass edges."""
         if class_iri not in self.classes:
             raise UnknownClassError(f"unknown class: {class_iri.value}")
-        seen: set = set()
-        stack = [class_iri]
-        while stack:
-            current = stack.pop()
-            for parent in self.classes[current].direct_superclasses:
-                if parent not in seen:
-                    seen.add(parent)
-                    if parent in self.classes:
-                        stack.append(parent)
-        seen.discard(class_iri)
-        return seen
+        classes = self.classes
+        return _reachable(
+            class_iri, lambda c: classes[c].direct_superclasses if c in classes else ()
+        )
 
-    def subclasses_of(self, class_iri: IRI) -> set:
-        """All registered classes whose closure contains class_iri."""
-        if class_iri not in self.classes:
-            raise UnknownClassError(f"unknown class: {class_iri.value}")
-        return {c for c in self.classes if class_iri in self.superclass_closure(c)}
+    def subclasses_of(self, class_iri: IRI) -> frozenset:
+        """All registered classes whose superclass closure holds class_iri.
+
+        The set is walked down the direct-subclass index on first use and
+        kept for the schema's lifetime.
+        """
+        found = self._subclass_sets.get(class_iri)
+        if found is None:
+            if class_iri not in self.classes:
+                raise UnknownClassError(f"unknown class: {class_iri.value}")
+            children = self._direct_subclasses
+            found = frozenset(_reachable(class_iri, lambda c: children.get(c, ())))
+            self._subclass_sets[class_iri] = found
+        return found
 
     def instances_of(self, data: Graph, class_iri: IRI) -> set:
         """Subjects typed as class_iri or any of its registered subclasses."""
-        if class_iri not in self.classes:
-            raise UnknownClassError(f"unknown class: {class_iri.value}")
-        found = set()
-        for t in data.match(None, RDF_TYPE, None):
-            declared_type = t.object
-            if declared_type == class_iri:
-                found.add(t.subject)
-            elif (
-                isinstance(declared_type, IRI)
-                and declared_type in self.classes
-                and class_iri in self.superclass_closure(declared_type)
-            ):
-                found.add(t.subject)
-        return found
+        below = self.subclasses_of(class_iri)
+        return {
+            t.subject
+            for t in data.match(None, RDF_TYPE, None)
+            if t.object == class_iri or t.object in below
+        }
 
     def mappings_of(self, iri: IRI) -> list:
         """Cross-ontology mappings of a registered class or property.
@@ -206,6 +209,19 @@ class OntologySchema:
             own_namespace=own,
             counting_rule=COUNTING_RULE,
         )
+
+
+def _reachable(start: Any, successors: Callable[[Any], Iterable]) -> set:
+    """Every node a walk along successors reaches from start, start excluded."""
+    seen: set = set()
+    stack = [start]
+    while stack:
+        for node in successors(stack.pop()):
+            if node not in seen:
+                seen.add(node)
+                stack.append(node)
+    seen.discard(start)
+    return seen
 
 
 def _check_class_cycles(classes: dict, equivalences: list) -> None:

@@ -59,17 +59,6 @@ class ValueCheck:
     kind: str  # any | iri | datatype | class | shape
     argument: Optional[str] = None  # datatype IRI, class IRI or shape name
 
-    def describe(self) -> str:
-        if self.kind == "any":
-            return "any"
-        if self.kind == "iri":
-            return "iri"
-        if self.kind == "datatype":
-            return f"literal <{self.argument}>"
-        if self.kind == "class":
-            return f"class <{self.argument}>"
-        return f"@{self.argument}"
-
 
 ANY = ValueCheck("any")
 
@@ -351,19 +340,11 @@ def _instances(data: Graph, schema: Optional[OntologySchema], class_iri: IRI) ->
 
 
 def _has_class(data: Graph, schema: Optional[OntologySchema], node: Term, class_iri: IRI) -> bool:
-    if isinstance(node, Literal):
-        return False
-    for declared in data.objects(node, RDF_TYPE):
-        if declared == class_iri:
-            return True
-        if (
-            schema is not None
-            and isinstance(declared, IRI)
-            and declared in schema.classes
-            and class_iri in schema.superclass_closure(declared)
-        ):
-            return True
-    return False
+    if schema is not None and class_iri in schema.classes:
+        below = schema.subclasses_of(class_iri)
+    else:
+        below = frozenset()
+    return any(c == class_iri or c in below for c in data.objects(node, RDF_TYPE))
 
 
 def _check_value(

@@ -1,10 +1,12 @@
-"""Import boundaries: `import dingotk` loads no submodule, and each CLI
-command loads only the modules it runs.
+"""Import boundaries: `import dingotk` loads no submodule, each CLI command
+loads only the modules it runs, and no module reaches into a sibling's
+private names.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -119,3 +121,55 @@ def test_unknown_names_raise_the_standard_errors():
     assert not hasattr(dingotk, "no_such_name")
     with pytest.raises(ImportError, match=r"^cannot import name 'no_such_name' from 'dingotk'"):
         exec("from dingotk import no_such_name", {})
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_sibling_uses(source: str) -> list:
+    """`_private` names that the source takes from another dingotk module.
+
+    Both forms count: `from .terms import _x` and `from . import terms`
+    followed by `terms._x`.
+    """
+    found = []
+    siblings = set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "dingotk"
+        ):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    found.append(f"line {node.lineno}: imports {alias.name}")
+                elif not node.module or node.module == "dingotk":
+                    siblings.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in siblings
+            and _is_private(node.attr)
+        ):
+            found.append(f"line {node.lineno}: reads {node.value.id}.{node.attr}")
+    return found
+
+
+def test_the_private_name_check_sees_both_forms():
+    source = (
+        "from .terms import IRI, _checked_prefixes\n"
+        "from . import ingest\n"
+        "from dingotk.turtle import __doc__\n"
+        "rows = ingest._MappingParser\n"
+        "own = _local\n"
+    )
+    assert private_sibling_uses(source) == [
+        "line 1: imports _checked_prefixes",
+        "line 4: reads ingest._MappingParser",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "dingotk").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_uses_a_private_name_of_a_sibling(path):
+    assert private_sibling_uses(path.read_text("utf-8")) == []

@@ -78,6 +78,16 @@ def test_dangling_ref_is_an_error():
     with pytest.raises(MappingParseError) as err:
         parse_mapping(text)
     assert "Ghost" in str(err.value)
+    # reported at the map line that names the entity
+    assert err.value.line == text.splitlines().index("    map name -> d:title : ref Ghost") + 1
+
+
+def test_duplicate_entity_is_reported_at_the_second_header():
+    text = MINIMAL + "entity Thing d:Grant {\n    key id\n}\n# trailing comment\n"
+    with pytest.raises(MappingParseError) as err:
+        parse_mapping(text)
+    assert "duplicate entity" in str(err.value)
+    assert err.value.line == text.splitlines().index("entity Thing d:Grant {") + 1
 
 
 def test_undeclared_column_is_an_error():

@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -10,6 +13,7 @@ from dingotk.ontology import (
     OWL_ANNOTATION_PROPERTY,
     OWL_CLASS,
     OWL_DATATYPE_PROPERTY,
+    OWL_EQUIVALENT_CLASS,
     OWL_OBJECT_PROPERTY,
     PropertyKindConflictError,
     RDFS_SUBCLASS_OF,
@@ -19,6 +23,7 @@ from dingotk.ontology import (
     find_cycle,
     load_ontology,
 )
+from dingotk.shapes import parse_shapes, validate
 from dingotk.terms import Graph, IRI, RDF_TYPE, Triple
 from dingotk.turtle import parse_turtle, serialize_turtle
 
@@ -138,6 +143,8 @@ def test_unknown_class_raises():
         schema.superclass_closure(IRI(EX + "Nope"))
     with pytest.raises(UnknownClassError):
         schema.instances_of(Graph(), IRI(EX + "Nope"))
+    with pytest.raises(UnknownClassError):
+        schema.subclasses_of(IRI(EX + "Nope"))
     with pytest.raises(UnknownTermError):
         schema.mappings_of(IRI(EX + "Nope"))
 
@@ -197,16 +204,30 @@ def test_instances_of_monotone_in_hierarchy(snapshot_schema):
 
 def test_instances_of_matches_brute_force_on_random_fixtures():
     rng = random.Random(11)
-    for _ in range(20):
+    # the first 20 hierarchies are acyclic; the next 20 add owl:equivalentClass
+    # rings, whose members subclass each other in a cycle
+    for fixture in range(40):
         class_count = rng.randrange(3, 8)
         class_iris = [IRI(f"{EX}C{i}") for i in range(class_count)]
         triples = [Triple(c, RDF_TYPE, OWL_CLASS) for c in class_iris]
         edges: dict = {}
+
+        def subclass(child: IRI, parent: IRI) -> None:
+            triples.append(Triple(child, RDFS_SUBCLASS_OF, parent))
+            edges.setdefault(child, set()).add(parent)
+
         for i in range(1, class_count):
             # parents only among earlier classes keeps the graph acyclic
             for parent_index in rng.sample(range(i), k=min(i, rng.randrange(0, 3))):
-                triples.append(Triple(class_iris[i], RDFS_SUBCLASS_OF, class_iris[parent_index]))
-                edges.setdefault(class_iris[i], set()).add(class_iris[parent_index])
+                subclass(class_iris[i], class_iris[parent_index])
+        if fixture >= 20:
+            anchor = rng.choice(class_iris)
+            ring = [anchor] + [IRI(f"{EX}E{k}") for k in range(rng.randrange(1, 3))]
+            for k, member in enumerate(ring):
+                subclass(member, ring[(k + 1) % len(ring)])
+                if member != anchor:
+                    triples.append(Triple(member, OWL_EQUIVALENT_CLASS, anchor))
+                    class_iris.append(member)
         schema = load_ontology(Graph(triples))
 
         nodes = [IRI(f"http://x/n{i}") for i in range(8)]
@@ -225,6 +246,70 @@ def test_instances_of_matches_brute_force_on_random_fixtures():
                 if any(target == c or target in _closure_oracle(edges, c) for c in classes)
             }
             assert schema.instances_of(data, target) == expected
+
+
+def test_subclasses_match_fixed_point_oracle_on_snapshot(snapshot_schema):
+    edges = {
+        iri: set(info.direct_superclasses) for iri, info in snapshot_schema.classes.items()
+    }
+    for iri in snapshot_schema.classes:
+        below = snapshot_schema.subclasses_of(iri)
+        assert below == {c for c in edges if iri in _closure_oracle(edges, c)}
+        assert isinstance(below, frozenset)
+        assert snapshot_schema.subclasses_of(iri) is below
+    assert snapshot_schema.subclasses_of(D.Organisation) >= {D.UniversityOrganisation}
+
+
+def test_threads_that_race_to_fill_subclass_sets_all_read_them_right(snapshot_graph):
+    schema = load_ontology(snapshot_graph)
+    expected = {c: frozenset(schema.subclasses_of(c)) for c in schema.classes}
+    results, errors = [], []
+
+    def read(fresh, start):
+        try:
+            start.wait(timeout=10)
+            results.append({c: fresh.subclasses_of(c) for c in expected})
+        except Exception as exc:  # reported below, with the thread's result missing
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            fresh, start = load_ontology(snapshot_graph), threading.Barrier(6)
+            threads = [threading.Thread(target=read, args=(fresh, start)) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors
+    assert len(results) == 30 and all(found == expected for found in results)
+
+
+def test_deep_chain_subsumption_is_linear():
+    # C0 <- C1 <- ... <- C4999, one node of each class, each node linking to
+    # the next; every node is an instance of C0
+    depth = 5_000
+    classes = [IRI(f"{EX}C{i}") for i in range(depth)]
+    nodes = [IRI(f"http://x/n{i}") for i in range(depth)]
+    link = IRI(EX + "link")
+    ontology = [Triple(c, RDF_TYPE, OWL_CLASS) for c in classes]
+    ontology += [Triple(classes[i], RDFS_SUBCLASS_OF, classes[i - 1]) for i in range(1, depth)]
+    data = [Triple(n, RDF_TYPE, c) for n, c in zip(nodes, classes)]
+    data += [Triple(nodes[i], link, nodes[i + 1]) for i in range(depth - 1)]
+    schema = load_ontology(Graph(ontology))
+    graph = Graph(data)
+    shapes = parse_shapes(f"shape Linked target <{EX}C0> {{ <{EX}link> class <{EX}C0> ? }}")
+
+    start = time.perf_counter()
+    assert schema.instances_of(graph, classes[0]) == set(nodes)
+    assert schema.instances_of(graph, classes[-1]) == {nodes[-1]}
+    assert validate(graph, schema, shapes).conformant
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f}s on a {depth}-class chain"
 
 
 def test_mappings_of_unmapped_term_is_empty(snapshot_schema):

@@ -36,20 +36,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# subquery -> (query over (queries module, data, schema, node, inherited,
-# vocabulary), whether to sort its result); "ancestry" keeps its
-# nearest-first order. Each command imports the modules it runs, so that the
-# others stay unloaded in a one-shot process.
+# subquery -> query over (queries module, data, schema, node, inherited,
+# vocabulary). A query that returns a set is printed sorted; "ancestry" and
+# "participants" return lists in their own order. Each command imports the
+# modules it runs, so that the others stay unloaded in a one-shot process.
 _NODE_QUERIES = {
-    "grants-of": (lambda q, d, s, n, i, c: q.grants_funding_project(d, s, n, c), True),
-    "projects-of": (lambda q, d, s, n, i, c: q.projects_funded_by(d, s, n, c), True),
-    "ancestry": (lambda q, d, s, n, i, c: q.scheme_ancestry(d, n, c), False),
-    "criteria": (lambda q, d, s, n, i, c: q.criteria_for_scheme(d, n, i, c), True),
-    "participants": (lambda q, d, s, n, i, c: q.participants_with_roles(d, s, n, c), False),
-    "beneficiaries": (lambda q, d, s, n, i, c: q.beneficiaries_of(d, n, c), True),
+    "grants-of": lambda q, d, s, n, i, c: q.grants_funding_project(d, s, n, c),
+    "projects-of": lambda q, d, s, n, i, c: q.projects_funded_by(d, s, n, c),
+    "ancestry": lambda q, d, s, n, i, c: q.scheme_ancestry(d, n, c),
+    "criteria": lambda q, d, s, n, i, c: q.criteria_for_scheme(d, n, i, c),
+    "participants": lambda q, d, s, n, i, c: q.participants_with_roles(d, s, n, c),
+    "beneficiaries": lambda q, d, s, n, i, c: q.beneficiaries_of(d, n, c),
     "non-beneficiary-participants": (
-        lambda q, d, s, n, i, c: q.non_beneficiary_participants(d, s, n, c),
-        True,
+        lambda q, d, s, n, i, c: q.non_beneficiary_participants(d, s, n, c)
     ),
 }
 
@@ -209,7 +208,11 @@ def _cmd_ingest(args) -> int:
     if fmt is None:
         fmt = "json" if args.table.lower().endswith(".json") else "csv"
     mapping = ingest.parse_mapping(_read_file(args.mapping))
-    if args.base:
+    if args.base is not None:
+        try:
+            IRI(args.base)
+        except ValueError as exc:
+            raise DingoError(f"--base: {exc}") from None
         mapping = dataclasses.replace(mapping, base_iri=args.base)
     text = _read_file(args.table)
     if fmt == "json":
@@ -279,14 +282,16 @@ def _cmd_query(args) -> int:
         return EXIT_OK if not violations else EXIT_NONCONFORMANT
 
     node = _parse_node(args.node)
-    query, ordered = _NODE_QUERIES[args.subquery]
+    query = _NODE_QUERIES[args.subquery]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", queries.UntypedNodeWarning)
         found = query(queries, data, schema, node, args.inherited, vocab)
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
     if args.subquery != "participants":
-        return _render_terms(sorted(found, key=repr) if ordered else found, args.format)
+        if isinstance(found, set):
+            found = sorted(found, key=repr)
+        return _render_terms(found, args.format)
     if args.format == "json":
         payload = [
             {"agent": repr(p.agent), "role": repr(p.role) if p.role else None}

@@ -17,6 +17,8 @@ from typing import Optional
 from .ontology import (
     MAPPING_PREDICATES,
     OntologySchema,
+    OWL_EQUIVALENT_CLASS,
+    OWL_EQUIVALENT_PROPERTY,
     OWL_NS,
     RDFS_COMMENT,
     RDFS_DOMAIN,
@@ -43,7 +45,6 @@ from .turtle import term_renderer
 DCT_TITLE = IRI(DCT_NS + "title")
 DCT_DESCRIPTION = IRI(DCT_NS + "description")
 OWL_VERSION_INFO = IRI(OWL_NS + "versionInfo")
-OWL_ONTOLOGY_TYPE = IRI(OWL_NS + "Ontology")
 
 _STRUCTURAL_PREDICATES = {
     RDF_TYPE,
@@ -58,8 +59,8 @@ _STRUCTURAL_PREDICATES = {
 _AXIOM_KINDS = {
     RDFS_SUBCLASS_OF: "subclass-of",
     RDFS_SUBPROPERTY_OF: "subproperty-of",
-    IRI(OWL_NS + "equivalentClass"): "equivalent-class",
-    IRI(OWL_NS + "equivalentProperty"): "equivalent-property",
+    OWL_EQUIVALENT_CLASS: "equivalent-class",
+    OWL_EQUIVALENT_PROPERTY: "equivalent-property",
     RDFS_DOMAIN: "domain",
     RDFS_RANGE: "range",
 }

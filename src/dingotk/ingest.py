@@ -46,6 +46,7 @@ from .terms import (
     XSD_GYEAR,
     XSD_GYEARMONTH,
     XSD_STRING,
+    expand_name,
     is_absolute_iri,
 )
 
@@ -169,16 +170,10 @@ class _MappingParser:
         self.ref_lines: list = []  # (entity name, referenced name, map line)
 
     def _resolve(self, token: str, line_no: int) -> IRI:
-        if token.startswith("<"):
-            raw = token[1:-1]
-        else:
-            prefix, _, local = token.partition(":")
-            if prefix not in self.prefixes:
-                raise MappingParseError(f"undefined prefix {prefix + ':'!r}", line_no)
-            raw = self.prefixes[prefix] + local
-        if not is_absolute_iri(raw):
-            raise MappingParseError(f"IRI must be absolute: {raw!r}", line_no)
         try:
+            raw = token[1:-1] if token.startswith("<") else expand_name(token, self.prefixes)
+            if not is_absolute_iri(raw):
+                raise ValueError(f"IRI must be absolute: {raw!r}")
             return IRI(raw)
         except ValueError as exc:
             raise MappingParseError(str(exc), line_no) from None
@@ -202,6 +197,7 @@ class _MappingParser:
                 self.base = match.group(1)
                 if not is_absolute_iri(self.base):
                     raise MappingParseError(f"base must be an absolute IRI: {self.base!r}", line_no)
+                self._resolve(f"<{self.base}>", line_no)  # no forbidden character
             elif match := _COLUMNS_LINE.match(line):
                 self.columns.extend(c.strip() for c in match.group(1).split(",") if c.strip())
             elif match := _ENTITY_LINE.match(line):

@@ -37,6 +37,7 @@ from .terms import (
     Literal,
     RDF_TYPE,
     Term,
+    expand_name,
     is_absolute_iri,
     term_sort_key,
 )
@@ -159,19 +160,15 @@ def _tokenize_shapes(text: str):
     return tokens
 
 
-_CARD_RE = re.compile(r"^\{\s*(\d+)\s*(?:(,)\s*(\d+)?\s*)?\}$")
-
-
 def _parse_cardinality(kind: str, value: str, line: int) -> tuple:
     if kind == "short":
         return {"?": (0, 1), "*": (0, UNBOUNDED), "+": (1, UNBOUNDED)}[value]
-    match = _CARD_RE.match(value)
-    if not match:
-        raise ShapeParseError(f"malformed cardinality {value!r}", line)
-    low = int(match.group(1))
-    if not match.group(2):
+    # the card token is "{m}", "{m,}" or "{m,n}", with optional blanks inside
+    low, comma, high = value[1:-1].partition(",")
+    low = int(low)
+    if not comma:
         return (low, low)
-    high = int(match.group(3)) if match.group(3) else UNBOUNDED
+    high = int(high) if high.strip() else UNBOUNDED
     if high is not UNBOUNDED and low > high:
         raise ShapeParseError(f"cardinality {value!r} has min > max", line)
     return (low, high)
@@ -194,30 +191,17 @@ class _ShapeFileParser:
             self.i += 1
         return tok
 
-    def _expect_word(self, expected: str) -> None:
-        kind, value, line = self._take()
-        if kind != "word" or value != expected:
-            raise ShapeParseError(f"expected {expected!r}, got {value!r}", line)
-
     def _parse_iri(self) -> IRI:
         kind, value, line = self._take()
-        if kind == "iri":
-            raw = value[1:-1]
+        if kind != "iri" and (kind != "word" or ":" not in value):
+            raise ShapeParseError(f"expected an IRI, got {value!r}", line)
+        try:
+            raw = value[1:-1] if kind == "iri" else expand_name(value, self.prefixes)
             if not is_absolute_iri(raw):
-                raise ShapeParseError(f"IRI must be absolute: {raw!r}", line)
-            try:
-                return IRI(raw)
-            except ValueError as exc:
-                raise ShapeParseError(str(exc), line) from None
-        if kind == "word" and ":" in value:
-            prefix, _, local = value.partition(":")
-            if prefix not in self.prefixes:
-                raise ShapeParseError(f"undefined prefix {prefix + ':'!r}", line)
-            try:
-                return IRI(self.prefixes[prefix] + local)
-            except ValueError as exc:
-                raise ShapeParseError(str(exc), line) from None
-        raise ShapeParseError(f"expected an IRI, got {value!r}", line)
+                raise ValueError(f"IRI must be absolute: {raw!r}")
+            return IRI(raw)
+        except ValueError as exc:
+            raise ShapeParseError(str(exc), line) from None
 
     def parse(self) -> ShapeSchema:
         while True:
@@ -226,7 +210,7 @@ class _ShapeFileParser:
                 break
             if kind == "word" and value == "prefix":
                 self._take()
-                self._parse_prefix(line)
+                self._parse_prefix()
             elif kind == "word" and value == "shape":
                 self._take()
                 self._parse_shape(line)
@@ -236,7 +220,7 @@ class _ShapeFileParser:
         _check_references(schema)
         return schema
 
-    def _parse_prefix(self, line: int) -> None:
+    def _parse_prefix(self) -> None:
         kind, value, line = self._take()
         if kind != "word" or not value.endswith(":"):
             raise ShapeParseError(f"expected a prefix name ending in ':', got {value!r}", line)
@@ -252,23 +236,17 @@ class _ShapeFileParser:
             raise ShapeParseError(f"duplicate shape name {name!r}", nline)
         target: Optional[IRI] = None
         closed = False
-        while True:
-            kind, value, tline = self._peek()
-            if kind == "word" and value == "target":
-                self._take()
+        while self._peek()[:2] in (("word", "target"), ("word", "closed")):
+            if self._take()[1] == "target":
                 target = self._parse_iri()
-                continue
-            if kind == "word" and value == "closed":
-                self._take()
+            else:
                 closed = True
-                continue
-            break
-        kind, value, bline = self._take()
+        _, value, bline = self._take()
         if value != "{":
             raise ShapeParseError(f"expected '{{' to open shape body, got {value!r}", bline)
         constraints = []
         while True:
-            kind, value, cline = self._peek()
+            value = self._peek()[1]
             if value == "}":
                 self._take()
                 break
@@ -305,10 +283,7 @@ class _ShapeFileParser:
             low, high = _parse_cardinality(kind, value, line)
         else:
             low, high = 1, 1
-        try:
-            return TripleConstraint(predicate, low, high, check)
-        except ValueError as exc:
-            raise ShapeParseError(str(exc), line) from None
+        return TripleConstraint(predicate, low, high, check)
 
 
 def _check_references(schema: ShapeSchema) -> None:
@@ -396,7 +371,8 @@ def validate(
     canonical order (focus node, then predicate). An empty schema is
     trivially conformant.
     """
-    violations: set = set()
+    # (focus, shape name, predicate, code, message) of each failure
+    failures: set = set()
     for class_iri, shape_name in shapes.target_map:
         shape = shapes.shapes.get(shape_name)
         if shape is None:
@@ -404,49 +380,26 @@ def validate(
         allowed = {c.predicate for c in shape.constraints} | {RDF_TYPE}
         for focus in _instances(data, schema, class_iri):
             for constraint in shape.constraints:
-                values = data.objects(focus, constraint.predicate)
+                predicate = constraint.predicate
+                values = data.objects(focus, predicate)
                 count = len(values)
                 if count < constraint.min_count:
-                    violations.add(
-                        Violation(
-                            focus,
-                            shape_name,
-                            constraint.predicate,
-                            "missing-required",
-                            f"requires at least {constraint.min_count} value(s), found {count}",
-                        )
-                    )
+                    message = f"requires at least {constraint.min_count} value(s), found {count}"
+                    failures.add((focus, shape_name, predicate, "missing-required", message))
                 if constraint.max_count is not UNBOUNDED and count > constraint.max_count:
-                    violations.add(
-                        Violation(
-                            focus,
-                            shape_name,
-                            constraint.predicate,
-                            "cardinality-exceeded",
-                            f"allows at most {constraint.max_count} value(s), found {count}",
-                        )
-                    )
+                    message = f"allows at most {constraint.max_count} value(s), found {count}"
+                    failures.add((focus, shape_name, predicate, "cardinality-exceeded", message))
                 for value in values:
                     failure = _check_value(data, schema, shapes, value, constraint.check)
                     if failure is not None:
-                        code, message = failure
-                        violations.add(
-                            Violation(focus, shape_name, constraint.predicate, code, message)
-                        )
+                        failures.add((focus, shape_name, predicate, *failure))
             if shape.closed:
                 present = {t.predicate for t in data.match(focus, None, None)}
                 for extra in present - allowed:
-                    violations.add(
-                        Violation(
-                            focus,
-                            shape_name,
-                            extra,
-                            "closed-shape-extra-predicate",
-                            f"predicate <{extra.value}> is not allowed by closed shape",
-                        )
-                    )
-    ordered = sorted(
-        violations,
+                    message = f"predicate <{extra.value}> is not allowed by closed shape"
+                    failures.add((focus, shape_name, extra, "closed-shape-extra-predicate", message))
+    violations = [Violation(*failure) for failure in failures]
+    violations.sort(
         key=lambda v: (
             term_sort_key(v.focus),
             v.predicate.value if v.predicate else "",
@@ -455,7 +408,7 @@ def validate(
             v.message,
         ),
     )
-    return ValidationReport(ordered)
+    return ValidationReport(violations)
 
 
 def default_dingo_shapes(schema: OntologySchema) -> ShapeSchema:

@@ -82,6 +82,15 @@ def is_absolute_iri(value: str) -> bool:
     return bool(_SCHEME_RE.match(value))
 
 
+def expand_name(name: str, prefixes: Mapping[str, str]) -> str:
+    """The IRI text of a prefixed name ``prefix:local``; ValueError if unbound."""
+    prefix, _, local = name.partition(":")
+    try:
+        return prefixes[prefix] + local
+    except KeyError:
+        raise ValueError(f"undefined prefix {prefix + ':'!r}") from None
+
+
 _CHAR_ESCAPES = {
     "\\": "\\\\",
     '"': '\\"',

@@ -36,6 +36,7 @@ from .terms import (
     XSD_INTEGER,
     XSD_STRING,
     escape_string,
+    expand_name,
     gc_paused,
     is_absolute_iri,
 )
@@ -381,10 +382,11 @@ class _Parser:
         return self._iri(raw, tok)
 
     def _expand_pname(self, tok: tuple) -> IRI:
-        prefix, _, local = tok[1].partition(":")
-        if prefix not in self.prefixes:
-            raise self._error(f"undefined prefix {prefix + ':'!r}", tok, UndefinedPrefixError)
-        return self._iri(self.prefixes[prefix] + local, tok)
+        try:
+            value = expand_name(tok[1], self.prefixes)
+        except ValueError as exc:
+            raise self._error(str(exc), tok, UndefinedPrefixError) from None
+        return self._iri(value, tok)
 
     # -- grammar -----------------------------------------------------------
 

@@ -351,6 +351,29 @@ def test_ingest_delimiter_and_base_override(tmp_path, capsys):
     assert "orig.example" not in out
 
 
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ("rel/", "IRI is not absolute (missing scheme): 'rel/'"),
+        ("", "IRI is not absolute (missing scheme): ''"),
+        ("http://ex.org/gr{ants/", "IRI contains forbidden character '{': 'http://ex.org/gr{ants/'"),
+    ],
+)
+def test_ingest_rejects_a_bad_base_override(tmp_path, capsys, base, message):
+    table = tmp_path / "rows.csv"
+    table.write_text("id,name\nt1,X\n", encoding="utf-8")
+    mapping = tmp_path / "m.mapping"
+    mapping.write_text(
+        f"prefix d: <{DINGO_BASE}>\nbase <http://ex.org/>\ncolumns id, name\n"
+        "entity Thing d:Project {\n  key id\n  map name -> d:title : string\n}\n",
+        encoding="utf-8",
+    )
+    assert run(["ingest", str(table), "--mapping", str(mapping), "--base", base]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --base: {message}\n"
+
+
 def test_ingest_input_format_override(tmp_path, capsys):
     # JSON content in a file without a .json suffix
     table = tmp_path / "rows.data"

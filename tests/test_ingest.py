@@ -103,6 +103,31 @@ def test_missing_base_is_an_error():
         parse_mapping(text)
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("map name -> d:title", "map name -> nope:title", 8, "undefined prefix 'nope:'"),
+        ("entity Thing d:Project", "entity Thing nope:Project", 6, "undefined prefix 'nope:'"),
+        ("map name -> d:title", "map name -> <title>", 8, "IRI must be absolute: 'title'"),
+        # a prefix is expanded, and checked, where it is used
+        (f"prefix d: <{DINGO_BASE}>", "prefix d: <dingo#>", 6, "IRI must be absolute: 'dingo#Project'"),
+        ("base <http://ex.org/data/>", "base <data/>", 3, "base must be an absolute IRI: 'data/'"),
+        (
+            "base <http://ex.org/data/>",
+            "base <http://ex.org/gr{ants/>",
+            3,
+            "IRI contains forbidden character '{': 'http://ex.org/gr{ants/'",
+        ),
+    ],
+)
+def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, message):
+    assert old in MINIMAL
+    with pytest.raises(MappingParseError) as err:
+        parse_mapping(MINIMAL.replace(old, new))
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
 def test_unknown_value_kind_is_an_error():
     with pytest.raises(MappingParseError):
         parse_mapping(MINIMAL.replace(": string", ": complex"))

@@ -56,7 +56,11 @@ def test_parse_cardinality_shorthands():
         f"  <{EX}d> any {{3}} ;\n"
         f"  <{EX}e> any {{2,5}} ;\n"
         f"  <{EX}f> any {{2,}} ;\n"
-        f"  <{EX}g> any\n"
+        f"  <{EX}g> any ;\n"
+        f"  <{EX}h> any {{ 2 }} ;\n"
+        f"  <{EX}i> any {{0,}} ;\n"
+        f"  <{EX}j> any {{ 2 , }} ;\n"
+        f"  <{EX}k> any {{ 1 , 3 }}\n"
         f"}}"
     )
     bounds = {
@@ -71,6 +75,10 @@ def test_parse_cardinality_shorthands():
         "e": (2, 5),
         "f": (2, UNBOUNDED),
         "g": (1, 1),
+        "h": (2, 2),
+        "i": (0, UNBOUNDED),
+        "j": (2, UNBOUNDED),
+        "k": (1, 3),
     }
 
 
@@ -112,13 +120,38 @@ def test_syntax_error_carries_line():
 
 
 def test_min_greater_than_max_rejected():
-    with pytest.raises(ShapeParseError):
-        parse_shapes(f"shape S target <{EX}C> {{ <{EX}p> any {{3,1}} }}")
+    with pytest.raises(ShapeParseError) as err:
+        parse_shapes(f"shape S target <{EX}C> {{\n <{EX}p> any {{3,1}} }}")
+    assert str(err.value) == "line 2: cardinality '{3,1}' has min > max"
+    assert err.value.line == 2
 
 
 def test_undefined_prefix_in_shape_file():
-    with pytest.raises(ShapeParseError):
-        parse_shapes("shape S target nope:C { }")
+    for text, line in [
+        ("shape S target nope:C { }", 1),
+        ("prefix ex: <http://ex.org/>\nshape S {\n ex:p class nope:C }", 3),
+    ]:
+        with pytest.raises(ShapeParseError) as err:
+            parse_shapes(text)
+        assert str(err.value) == f"line {line}: undefined prefix 'nope:'"
+        assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("shape S target <C> { }", 1, "IRI must be absolute: 'C'"),
+        ("shape S {\n\n <p> any }", 3, "IRI must be absolute: 'p'"),
+        ("\nprefix ex: <rel/>", 2, "IRI must be absolute: 'rel/'"),
+        (f"shape S target <{EX}a{{b> {{ }}", 1, f"IRI contains forbidden character '{{': '{EX}a{{b'"),
+        ("shape S target C { }", 1, "expected an IRI, got 'C'"),
+    ],
+)
+def test_unresolvable_iri_in_shape_file(text, line, message):
+    with pytest.raises(ShapeParseError) as err:
+        parse_shapes(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from dingotk.terms import (
     Triple,
     XSD_INTEGER,
     XSD_STRING,
+    expand_name,
     gc_paused,
     term_sort_key,
     triple_sort_key,
@@ -49,6 +50,14 @@ def test_iri_rejects_forbidden_characters():
     for bad in ["http://ex.org/a b", "http://ex.org/<x>", "http://ex.org/x\n", "http://ex.org/\\"]:
         with pytest.raises(ValueError):
             IRI(bad)
+
+
+def test_expand_name_splits_at_the_first_colon():
+    prefixes = {"ex": EX, "": "urn:x:"}
+    assert expand_name("ex:a:b", prefixes) == EX + "a:b"
+    assert expand_name(":", prefixes) == "urn:x:"
+    with pytest.raises(ValueError, match=r"^undefined prefix 'nope:'$"):
+        expand_name("nope:a", prefixes)
 
 
 def test_blank_label_rules():

@@ -23,8 +23,6 @@ def _is_ground(triple: Triple) -> bool:
 
 
 def _ground_key(term: Term):
-    if isinstance(term, BlankNode):
-        return ("*",)
     kind, primary, extra_a, extra_b = term_sort_key(term)
     return ("g", str(kind), primary, extra_a, extra_b)
 

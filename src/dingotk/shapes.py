@@ -165,10 +165,13 @@ def _parse_cardinality(kind: str, value: str, line: int) -> tuple:
         return {"?": (0, 1), "*": (0, UNBOUNDED), "+": (1, UNBOUNDED)}[value]
     # the card token is "{m}", "{m,}" or "{m,n}", with optional blanks inside
     low, comma, high = value[1:-1].partition(",")
-    low = int(low)
+    try:
+        low = int(low)
+        high = int(high) if high.strip() else UNBOUNDED
+    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+        raise ShapeParseError("cardinality bound has too many digits", line) from None
     if not comma:
         return (low, low)
-    high = int(high) if high.strip() else UNBOUNDED
     if high is not UNBOUNDED and low > high:
         raise ShapeParseError(f"cardinality {value!r} has min > max", line)
     return (low, high)

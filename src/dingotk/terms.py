@@ -223,10 +223,6 @@ def _checked_prefixes(prefixes: Optional[Mapping[str, str]]) -> dict:
     return checked
 
 
-def _object_sort_key(triple: Triple) -> tuple:
-    return term_sort_key(triple[2])
-
-
 class Graph:
     """Immutable set of triples plus an ordered prefix map.
 
@@ -236,11 +232,14 @@ class Graph:
     triples is built with the graph. Predicate -> object -> triples is built
     from it the first time a lookup binds a predicate but no subject, and
     kept; building it twice gives equal indexes, so a graph is still safe to
-    share between threads. Iteration and `match` results follow the
-    canonical serialization order, so everything downstream is deterministic.
+    share between threads. Iteration is `match()` order, the canonical
+    serialization order, so everything downstream is deterministic.
 
-    `len`, `in` and pattern lookups read the indexes. `triples` and `hash`
-    build a new frozenset, O(n) on every call.
+    Only `_lookup`, `subject_groups` and the index builders read the index
+    layout; every other member goes through `_lookup`. `len`, `in` and
+    pattern lookups read the indexes. `==` compares counts and prefix maps,
+    then tests each triple of one graph against the other's triple set.
+    `triples` and `hash` build a new frozenset, O(n) on every call.
     """
 
     __slots__ = ("_prefixes", "_spo", "_pos", "_len")
@@ -280,14 +279,6 @@ class Graph:
         self._pos = None
         self._len = count
 
-    def _leaves(self) -> Iterator[list]:
-        for by_p in self._spo.values():
-            yield from by_p.values()
-
-    def _all(self) -> Iterator[Triple]:
-        for leaf in self._leaves():
-            yield from leaf
-
     def _pos_index(self) -> dict:
         pos = self._pos
         if pos is None:
@@ -309,7 +300,7 @@ class Graph:
 
     @property
     def triples(self) -> frozenset:
-        return frozenset(self._all())
+        return frozenset(self._lookup(None, None, None))
 
     @property
     def prefixes(self) -> Mapping[str, str]:
@@ -321,35 +312,22 @@ class Graph:
     def __contains__(self, triple: object) -> bool:
         if not isinstance(triple, tuple) or len(triple) != 3:
             return False
-        by_p = self._spo.get(triple[0])
-        return by_p is not None and triple in by_p.get(triple[1], ())
+        return triple in self._lookup(triple[0], triple[1], None)
 
     def __iter__(self) -> Iterator[Triple]:
-        spo = self._spo
-        for subject in sorted(spo, key=term_sort_key):
-            by_p = spo[subject]
-            for predicate in sorted(by_p, key=predicate_sort_key):
-                yield from sorted(by_p[predicate], key=_object_sort_key)
+        return iter(self.match())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        if self._len != other._len or self._prefixes != other._prefixes:
-            return False
-        # leaves hold no duplicates, so with equal counts, equal leaves for
-        # every (subject, predicate) of this graph leave none over in the other
-        theirs = other._spo
-        for s, by_p in self._spo.items():
-            their_by_p = theirs.get(s)
-            if their_by_p is None:
-                return False
-            for p, leaf in by_p.items():
-                their_leaf = their_by_p.get(p, ())
-                if leaf != their_leaf and (
-                    len(leaf) != len(their_leaf) or {t[2] for t in leaf} != {t[2] for t in their_leaf}
-                ):
-                    return False
-        return True
+        # the index holds no duplicates, so with equal counts, holding every
+        # triple of this graph leaves none over in the other; a set, not `in`,
+        # because `in` scans a (subject, predicate) leaf and hubs make it quadratic
+        return (
+            self._len == other._len
+            and self._prefixes == other._prefixes
+            and other.triples.issuperset(self._lookup(None, None, None))
+        )
 
     def __hash__(self) -> int:
         return hash(self.triples)
@@ -378,7 +356,7 @@ class Graph:
                 return by_o.get(object, ())
             return [t for leaf in by_o.values() for t in leaf]
         else:
-            found = self._all()
+            found = (t for by_p in self._spo.values() for leaf in by_p.values() for t in leaf)
         if object is not None:
             return [t for t in found if t[2] == object]
         return found
@@ -422,20 +400,7 @@ class Graph:
 
     def nodes(self) -> set:
         """Every term appearing in subject or object position."""
-        out = set(self._spo)
-        for leaf in self._leaves():
-            out.update([t[2] for t in leaf])
-        return out
+        return {term for s, _, o in self._lookup(None, None, None) for term in (s, o)}
 
     def blank_nodes(self) -> set:
         return {n for n in self.nodes() if isinstance(n, BlankNode)}
-
-    def with_prefixes(self, prefixes: Mapping[str, str]) -> "Graph":
-        """Copy of this graph with extra prefix declarations merged in."""
-        merged = dict(self._prefixes)
-        merged.update(prefixes)
-        # the indexes never change, so the copy shares them
-        copy = Graph.__new__(Graph)
-        copy._prefixes = _checked_prefixes(merged)
-        copy._spo, copy._pos, copy._len = self._spo, self._pos, self._len
-        return copy

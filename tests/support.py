@@ -1,4 +1,4 @@
-"""Shared test helpers: graph generators and brute-force oracles."""
+"""Shared test helpers: graph generators, brute-force oracles and fixtures."""
 
 from __future__ import annotations
 
@@ -60,6 +60,21 @@ PREFIX_POOL = [
     ("", "http://example.org/default#"),
     ("foaf", "http://xmlns.com/foaf/0.1/"),
 ]
+
+
+SUBPROPERTY_NS = "http://sub.example/v#"
+# hasComponent's superproperties: a declared IRI, an undeclared IRI and a
+# blank node; the blank subject of the last statement declares nothing
+SUBPROPERTY_ONTOLOGY = f"""
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix ex: <{SUBPROPERTY_NS}> .
+
+ex:hasPart a owl:ObjectProperty .
+ex:hasComponent a owl:ObjectProperty ;
+    rdfs:subPropertyOf ex:hasPart, ex:relatedTo, [ owl:inverseOf ex:partOf ] .
+[] rdfs:subPropertyOf ex:hasPart .
+"""
 
 
 def random_literal(rng: random.Random) -> Literal:

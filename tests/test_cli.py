@@ -238,6 +238,61 @@ def test_query_json_format(data_file, capsys):
     assert payload == {"results": ["<http://x/g1>", "<http://x/g2>"]}
 
 
+def test_query_temporal_check_json_bytes(tmp_path, capsys):
+    path = tmp_path / "bad.ttl"
+    path.write_text(
+        f'@prefix d: <{DINGO_BASE}> .\n'
+        '<http://x/n> d:start_time "2020-02-01" ; d:end_time "2020-01-01" .',
+        encoding="utf-8",
+    )
+    assert run(["query", "temporal-check", str(path), "--format", "json"]) == 1
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "violations": [\n'
+        "    {\n"
+        '      "node": "<http://x/n>",\n'
+        f'      "start_property": "{DINGO_BASE}start_time",\n'
+        f'      "end_property": "{DINGO_BASE}end_time",\n'
+        '      "start_value": "2020-02-01",\n'
+        '      "end_value": "2020-01-01",\n'
+        '      "code": "start-after-end"\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    )
+
+
+def test_query_participants_json_bytes_with_a_bracketed_node(tmp_path, capsys):
+    path = tmp_path / "p.ttl"
+    path.write_text(
+        f"@prefix d: <{DINGO_BASE}> .\n"
+        "<http://x/p> a d:Project ; d:has_participant <http://x/alice>, <http://x/bob> .\n"
+        "<http://x/alice> a d:Person ; d:has_role d:principal_investigator .\n"
+        "<http://x/bob> a d:Person .\n",
+        encoding="utf-8",
+    )
+    argv = ["query", "participants", str(path), "--node", "<http://x/p>"]
+    assert run(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        "{\n"
+        '  "results": [\n'
+        "    {\n"
+        '      "agent": "<http://x/alice>",\n'
+        f'      "role": "<{DINGO_BASE}principal_investigator>"\n'
+        "    },\n"
+        "    {\n"
+        '      "agent": "<http://x/bob>",\n'
+        '      "role": null\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    )
+    assert run(argv) == 0
+    assert capsys.readouterr().out == (
+        f"<http://x/alice>\t<{DINGO_BASE}principal_investigator>\n<http://x/bob>\t-\n"
+    )
+
+
 def test_query_literal_results_print_escaped(tmp_path, capsys):
     path = tmp_path / "literals.ttl"
     path.write_text(

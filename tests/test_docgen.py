@@ -18,6 +18,8 @@ from dingotk.terms import (
 )
 from dingotk.turtle import parse_turtle, term_renderer
 
+from support import SUBPROPERTY_NS, SUBPROPERTY_ONTOLOGY
+
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 SMALL_ONTOLOGY = """
@@ -152,6 +154,23 @@ def test_cyclic_anonymous_structure_terminates():
     )
     html = render_html(extract_doc_model(g, load_ontology(g)))
     assert html.startswith("<!DOCTYPE html>")
+
+
+def test_superproperty_rows_link_named_and_print_anonymous():
+    g = parse_turtle(SUBPROPERTY_ONTOLOGY)
+    model = extract_doc_model(g, load_ontology(g))
+    (entry,) = [e for e in model.property_entries if e.iri == IRI(SUBPROPERTY_NS + "hasComponent")]
+    assert entry.relations == [
+        ("superproperty", IRI(SUBPROPERTY_NS + "hasPart")),
+        ("superproperty", IRI(SUBPROPERTY_NS + "relatedTo")),
+        ("superproperty", "[ owl:inverseOf ex:partOf ]"),
+    ]
+    rows = [line for line in render_html(model).splitlines() if line.startswith("<dt>superproperty</dt>")]
+    assert rows == [
+        '<dt>superproperty</dt><dd><a href="#prop-hasPart">hasPart</a></dd>',
+        '<dt>superproperty</dt><dd><a href="#prop-relatedTo">relatedTo</a></dd>',
+        "<dt>superproperty</dt><dd><code>[ owl:inverseOf ex:partOf ]</code></dd>",
+    ]
 
 
 def test_individuals_and_external_links():

@@ -1,6 +1,6 @@
 """Import boundaries: `import dingotk` loads no submodule, each CLI command
-loads only the modules it runs, and no module reaches into a sibling's
-private names.
+loads only the modules it runs, no module reaches into a sibling's private
+names, and only `terms` reads a graph's index layout.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
@@ -173,3 +173,32 @@ def test_the_private_name_check_sees_both_forms():
 @pytest.mark.parametrize("path", sorted((SRC / "dingotk").glob("*.py")), ids=lambda p: p.name)
 def test_no_module_uses_a_private_name_of_a_sibling(path):
     assert private_sibling_uses(path.read_text("utf-8")) == []
+
+
+# the members of `terms.Graph` that hold or read its index layout
+GRAPH_LAYOUT = {"_spo", "_pos", "_lookup", "_len"}
+
+
+def graph_layout_reads(source: str) -> list:
+    """Attribute reads of Graph's layout members, on any object."""
+    return [
+        f"line {node.lineno}: reads .{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in GRAPH_LAYOUT
+    ]
+
+
+def test_the_layout_check_sees_attribute_reads_on_any_object():
+    source = "g._lookup(s, None, None)\nn = data._len\nother._spo.get(s)\n_pos = 1\n"
+    assert sorted(graph_layout_reads(source)) == [
+        "line 1: reads ._lookup",
+        "line 2: reads ._len",
+        "line 3: reads ._spo",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "dingotk").glob("*.py") if p.name != "terms.py"), ids=lambda p: p.name
+)
+def test_only_terms_reads_the_graph_index_layout(path):
+    assert graph_layout_reads(path.read_text("utf-8")) == []

@@ -128,6 +128,24 @@ def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, message):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("entity Thing d:Project {\n    key id\n    map name -> d:title : string\n}\n", "", 5,
+         "mapping declares no entities"),
+        ("}\n", "", 8, "entity Thing: unterminated block"),
+        ("    key id\n", "", 8, "entity Thing: missing 'key' declaration"),
+        (": string", ": ref", 8, "ref needs an entity name: 'ref <Entity>'"),
+    ],
+)
+def test_mapping_structure_errors_name_their_line(old, new, line, message):
+    assert old in MINIMAL
+    with pytest.raises(MappingParseError) as err:
+        parse_mapping(MINIMAL.replace(old, new))
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
 def test_unknown_value_kind_is_an_error():
     with pytest.raises(MappingParseError):
         parse_mapping(MINIMAL.replace(": string", ": complex"))
@@ -271,6 +289,18 @@ def test_ambiguous_date_without_format_is_a_failure():
     (failure,) = report.failures
     assert failure.column == "start"
     assert failure.value == "03/04/2019"
+
+
+def test_month_out_of_range_is_a_failure_at_its_row():
+    spec = parse_mapping(TYPED)
+    starts = ["2019-04", "2019-13", "2019-00"]
+    rows = [{"id": f"g{i}", "start": start, "proj": "p"} for i, start in enumerate(starts)]
+    graph, report = ingest_table(rows, spec)
+    assert [(f.row, f.column, f.value, f.reason) for f in report.failures] == [
+        (2, "start", "2019-13", "month out of range: '2019-13'"),
+        (3, "start", "2019-00", "month out of range: '2019-00'"),
+    ]
+    assert graph.objects(None, D.start_time) == [Literal("2019-04", XSD_GYEARMONTH)]
 
 
 def test_bad_decimal_is_a_failure_not_a_crash():

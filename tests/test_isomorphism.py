@@ -53,6 +53,27 @@ def test_swapped_roles_need_correct_mapping():
     assert graph_isomorphic(g1, g2)
 
 
+def _cycle(labels):
+    nodes = [BlankNode(label) for label in labels]
+    return [Triple(a, P, b) for a, b in zip(nodes, nodes[1:] + nodes[:1])]
+
+
+@pytest.mark.parametrize(
+    "other, expected",
+    [
+        pytest.param(_cycle(["b0", "b1", "b2"]) + _cycle(["b3", "b4", "b5"]), False, id="two-3-cycles"),
+        pytest.param(_cycle(["c3", "c0", "c5", "c1", "c4", "c2"]), True, id="relabelled"),
+    ],
+)
+def test_cycles_whose_nodes_share_one_signature_need_backtracking(other, expected):
+    # every node has one edge in and one out, so signatures prune nothing
+    six = Graph(_cycle([f"a{i}" for i in range(6)]))
+    other = Graph(other)
+    assert brute_force_isomorphic(six, other) is expected
+    assert graph_isomorphic(six, other) is expected
+    assert graph_isomorphic(other, six) is expected
+
+
 def test_limit_error_beyond_cap():
     blanks = [BlankNode(f"x{i}") for i in range(MAX_BLANK_NODES // 2 + 1)]
     triples = [Triple(n, P, Literal("v")) for n in blanks]

@@ -24,8 +24,10 @@ from dingotk.ontology import (
     load_ontology,
 )
 from dingotk.shapes import parse_shapes, validate
-from dingotk.terms import Graph, IRI, RDF_TYPE, Triple
+from dingotk.terms import BlankNode, Graph, IRI, RDF_TYPE, Triple
 from dingotk.turtle import parse_turtle, serialize_turtle
+
+from support import SUBPROPERTY_NS, SUBPROPERTY_ONTOLOGY
 
 EX = "http://example.org/onto#"
 OWL = "http://www.w3.org/2002/07/owl#"
@@ -120,6 +122,22 @@ def test_anonymous_superclasses_are_opaque():
     assert info.direct_superclasses == {IRI(EX + "B")}
     assert len(info.anonymous_superclasses) == 1
     assert schema.superclass_closure(IRI(EX + "A")) == {IRI(EX + "B")}
+
+
+def test_superproperties_split_into_named_and_anonymous():
+    g = parse_turtle(SUBPROPERTY_ONTOLOGY)
+    schema = load_ontology(g)
+    part, related = IRI(SUBPROPERTY_NS + "hasPart"), IRI(SUBPROPERTY_NS + "relatedTo")
+    info = schema.properties[IRI(SUBPROPERTY_NS + "hasComponent")]
+    assert info.direct_superproperties == {part, related}
+    (blank,) = info.anonymous_superproperties
+    assert isinstance(blank, BlankNode)
+    assert g.objects(blank, IRI(OWL + "inverseOf")) == [IRI(SUBPROPERTY_NS + "partOf")]
+    # an undeclared superproperty registers; a blank subproperty does not
+    assert set(schema.properties) == {info.iri, part, related}
+    assert not schema.properties[related].declared
+    assert schema.properties[part].direct_superproperties == set()
+    assert schema.properties[part].anonymous_superproperties == []
 
 
 def test_closure_of_root_is_empty(snapshot_schema):

@@ -1,4 +1,5 @@
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,39 @@ def test_unresolvable_iri_in_shape_file(text, line, message):
         parse_shapes(text)
     assert str(err.value) == f"line {line}: {message}"
     assert err.value.line == line
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("shape 1bad { }", 1, "invalid shape name '1bad'"),
+        ("shape S { }\nshape S { }", 2, "duplicate shape name 'S'"),
+        (f"shape S target <{EX}C>\n ;", 2, "expected '{' to open shape body, got ';'"),
+        ("shape S {\n < }", 2, "unexpected character '<'"),
+        ("shape S {\n @1 }", 2, "unexpected character '@'"),
+    ],
+)
+def test_shape_file_syntax_errors_name_their_line(text, line, message):
+    with pytest.raises(ShapeParseError) as err:
+        parse_shapes(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("card", ["{%s}", "{1,%s}"], ids=["min", "max"])
+def test_cardinality_past_the_int_digit_limit_names_its_line(card):
+    digits = "1" * 5000
+    text = f"shape S {{\n <{EX}p> any {card % digits} }}"
+    # interpreters without the limit, or with it off (0), convert any length
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if 0 < limit < len(digits):
+        with pytest.raises(ShapeParseError) as err:
+            parse_shapes(text)
+        assert str(err.value) == "line 2: cardinality bound has too many digits"
+        assert err.value.line == 2
+    else:
+        (constraint,) = parse_shapes(text).shapes["S"].constraints
+        assert int(digits) in (constraint.min_count, constraint.max_count)
 
 
 # ---------------------------------------------------------------------------

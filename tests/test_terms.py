@@ -471,18 +471,3 @@ def test_threads_that_race_to_build_the_predicate_index_all_read_it_right():
         sys.setswitchinterval(interval)
     assert not errors
     assert len(results) == 30 and all(found == expected for found in results)
-
-
-def test_with_prefixes_merges_prefixes_and_keeps_the_triples():
-    g = random_graph(random.Random(9), max_triples=60)
-    for built in (False, True):
-        if built:
-            g.match(None, RDF_TYPE, None)
-        copy = g.with_prefixes({"zz": EX + "zz#", "": EX})
-        assert copy.prefixes == {**g.prefixes, "zz": EX + "zz#", "": EX}
-        assert "zz" not in g.prefixes
-        assert copy == Graph(g, copy.prefixes) and list(copy) == list(g) and len(copy) == len(g)
-        for pattern in ((None, RDF_TYPE, None), (None, None, None), (IRI(EX + "a"), None, None)):
-            assert copy.match(*pattern) == g.match(*pattern)
-        with pytest.raises(ValueError):
-            g.with_prefixes({"bad prefix": EX})

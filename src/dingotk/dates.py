@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-_DATE_RE = re.compile(r"^(\d{4})(?:-(\d{2})(?:-(\d{2})(?:T.*)?)?)?$")
+_DATE_RE = re.compile(r"^([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2})(?:T.*)?)?)?$")
 
 
 @dataclass(frozen=True)

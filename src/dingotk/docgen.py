@@ -170,11 +170,21 @@ def _first_literal(g: Graph, subject: Term, *predicates: IRI) -> str:
     return ""
 
 
+def _texts(g: Graph, subject: Term, predicate: IRI) -> list:
+    """(lexical, language) of each literal object, by text, then untagged
+    before tagged, then by tag."""
+    pairs = [(o.lexical, o.language) for o in g.objects(subject, predicate) if isinstance(o, Literal)]
+    return sorted(pairs, key=lambda pair: (pair[0], pair[1] or ""))
+
+
 def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
     """One documentation entry per registered class/property, plus
     individuals typed by registered classes, structured axioms, and the
     document's namespaces."""
     render = term_renderer(g.prefixes)
+
+    def pretty(node: BlankNode) -> str:
+        return _pretty_blank(g, node, render)
 
     onto = schema.ontology_iri
     header = OntologyHeader(
@@ -186,7 +196,8 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
 
     used_anchors: set = set()
 
-    def make_anchor(prefix: str, iri: IRI) -> str:
+    def new_entry(iri: IRI, prefix: str, kind: str, relations: list) -> DocEntry:
+        """The entry for iri; anchors are handed out in call order."""
         base = prefix + "-" + re.sub(r"[^A-Za-z0-9_-]", "-", local_name(iri))
         anchor = base
         counter = 2
@@ -194,59 +205,46 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             anchor = f"{base}-{counter}"
             counter += 1
         used_anchors.add(anchor)
-        return anchor
-
-    def other_annotations(iri: IRI) -> list:
-        out = []
+        annotations = []
         for t in g.match(iri, None, None):
             if t.predicate in _STRUCTURAL_PREDICATES:
                 continue
             if isinstance(t.object, BlankNode):
-                out.append((t.predicate, _pretty_blank(g, t.object, render), None))
+                annotations.append((t.predicate, pretty(t.object), None))
             else:
                 target = t.object if isinstance(t.object, IRI) else None
-                out.append((t.predicate, render(t.object), target))
-        return out
+                annotations.append((t.predicate, render(t.object), target))
+        return DocEntry(
+            iri=iri,
+            anchor=anchor,
+            kind=kind,
+            labels=_texts(g, iri, RDFS_LABEL),
+            comments=_texts(g, iri, RDFS_COMMENT),
+            relations=relations,
+            annotations=annotations,
+        )
 
     class_entries = []
     for iri in sorted(schema.classes, key=term_sort_key):
         info = schema.classes[iri]
-        entry = DocEntry(iri=iri, anchor=make_anchor("class", iri), kind="class")
-        entry.labels = list(info.labels)
-        entry.comments = list(info.comments)
-        for sup in sorted(info.direct_superclasses, key=term_sort_key):
-            entry.relations.append(("superclass", sup))
-        for blank in info.anonymous_superclasses:
-            entry.relations.append(("superclass", _pretty_blank(g, blank, render)))
-        for m in info.mappings:
-            entry.relations.append((m.kind, m.target))
-        entry.annotations = other_annotations(iri)
-        class_entries.append(entry)
+        relations = [("superclass", sup) for sup in sorted(info.direct_superclasses, key=term_sort_key)]
+        relations += [("superclass", pretty(blank)) for blank in info.anonymous_superclasses]
+        relations += [(m.kind, m.target) for m in info.mappings]
+        class_entries.append(new_entry(iri, "class", "class", relations))
 
     property_entries = []
     for iri in sorted(schema.properties, key=term_sort_key):
         info = schema.properties[iri]
-        entry = DocEntry(iri=iri, anchor=make_anchor("prop", iri), kind=info.kind or "property")
-        entry.labels = list(info.labels)
-        entry.comments = list(info.comments)
-        for dom in sorted(info.domains, key=term_sort_key):
-            entry.relations.append(("domain", dom))
-        for rng in sorted(info.ranges, key=term_sort_key):
-            entry.relations.append(("range", rng))
-        for t in g.match(iri, RDFS_DOMAIN, None):
-            if isinstance(t.object, BlankNode):
-                entry.relations.append(("domain", _pretty_blank(g, t.object, render)))
-        for t in g.match(iri, RDFS_RANGE, None):
-            if isinstance(t.object, BlankNode):
-                entry.relations.append(("range", _pretty_blank(g, t.object, render)))
-        for sup in sorted(info.direct_superproperties, key=term_sort_key):
-            entry.relations.append(("superproperty", sup))
-        for blank in info.anonymous_superproperties:
-            entry.relations.append(("superproperty", _pretty_blank(g, blank, render)))
-        for m in info.mappings:
-            entry.relations.append((m.kind, m.target))
-        entry.annotations = other_annotations(iri)
-        property_entries.append(entry)
+        relations = [("domain", dom) for dom in sorted(info.domains, key=term_sort_key)]
+        relations += [("range", rng) for rng in sorted(info.ranges, key=term_sort_key)]
+        for name, predicate in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
+            relations += [(name, pretty(o)) for o in g.objects(iri, predicate) if isinstance(o, BlankNode)]
+        relations += [
+            ("superproperty", sup) for sup in sorted(info.direct_superproperties, key=term_sort_key)
+        ]
+        relations += [("superproperty", pretty(blank)) for blank in info.anonymous_superproperties]
+        relations += [(m.kind, m.target) for m in info.mappings]
+        property_entries.append(new_entry(iri, "prop", info.kind or "property", relations))
 
     individual_entries = []
     documented = set(schema.classes) | set(schema.properties)
@@ -257,20 +255,8 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
         if not isinstance(t.object, IRI) or t.object not in schema.classes:
             continue
         documented.add(subject)
-        entry = DocEntry(iri=subject, anchor=make_anchor("ind", subject), kind="individual")
-        entry.labels = sorted(
-            (o.lexical, o.language) for o in g.objects(subject, RDFS_LABEL) if isinstance(o, Literal)
-        )
-        entry.comments = sorted(
-            (o.lexical, o.language)
-            for o in g.objects(subject, RDFS_COMMENT)
-            if isinstance(o, Literal)
-        )
-        for declared in g.objects(subject, RDF_TYPE):
-            if isinstance(declared, IRI):
-                entry.relations.append(("type", declared))
-        entry.annotations = other_annotations(subject)
-        individual_entries.append(entry)
+        relations = [("type", o) for o in g.objects(subject, RDF_TYPE) if isinstance(o, IRI)]
+        individual_entries.append(new_entry(subject, "ind", "individual", relations))
 
     axiom_entries = []
     for predicate, kind in _AXIOM_KINDS.items():
@@ -280,7 +266,7 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             if isinstance(t.object, IRI):
                 axiom_entries.append(AxiomEntry(kind, t.subject, render(t.object), t.object))
             elif isinstance(t.object, BlankNode):
-                axiom_entries.append(AxiomEntry(kind, t.subject, _pretty_blank(g, t.object, render), None))
+                axiom_entries.append(AxiomEntry(kind, t.subject, pretty(t.object), None))
     axiom_entries.sort(key=lambda a: (term_sort_key(a.subject), a.kind, a.object_text))
 
     return DocModel(
@@ -334,9 +320,13 @@ def _display_name(entry: DocEntry) -> str:
 class _HtmlWriter:
     def __init__(self, model: DocModel) -> None:
         self.model = model
-        self.anchors = {}
-        for entry in model.class_entries + model.property_entries + model.individual_entries:
-            self.anchors[entry.iri] = entry.anchor
+        # (heading, anchor, entries) of each entry section, in document order
+        self.sections = (
+            ("Classes", "classes", model.class_entries),
+            ("Properties", "properties", model.property_entries),
+            ("Individuals", "individuals", model.individual_entries),
+        )
+        self.anchors = {entry.iri: entry.anchor for _, _, entries in self.sections for entry in entries}
         self.out: list = []
 
     def link(self, iri: IRI, text: Optional[str] = None) -> str:
@@ -377,18 +367,6 @@ class _HtmlWriter:
             self.out.append("</dl>")
         self.out.append("</section>")
 
-    def _toc_group(self, title: str, anchor: str, entries: list) -> None:
-        self.out.append(
-            f'<li><a href="#{anchor}">{_esc(title)}</a> ({len(entries)})'
-        )
-        if entries:
-            self.out.append("<ul>")
-            for entry in entries:
-                name = _display_name(entry)
-                self.out.append(f'<li><a href="#{entry.anchor}">{_esc(name)}</a></li>')
-            self.out.append("</ul>")
-        self.out.append("</li>")
-
     def render(self) -> str:
         model = self.model
         title = model.header.title or "Ontology documentation"
@@ -414,27 +392,23 @@ class _HtmlWriter:
         self.out.append("</header>")
 
         self.out.append("<nav><h2>Contents</h2><ul>")
-        self._toc_group("Classes", "classes", model.class_entries)
-        self._toc_group("Properties", "properties", model.property_entries)
-        self._toc_group("Individuals", "individuals", model.individual_entries)
+        for heading, anchor, entries in self.sections:
+            self.out.append(f'<li><a href="#{anchor}">{heading}</a> ({len(entries)})')
+            if entries:
+                self.out.append("<ul>")
+                for entry in entries:
+                    self.out.append(f'<li><a href="#{entry.anchor}">{_esc(_display_name(entry))}</a></li>')
+                self.out.append("</ul>")
+            self.out.append("</li>")
         self.out.append(f'<li><a href="#axioms">Axioms</a> ({len(model.axiom_entries)})</li>')
         self.out.append(f'<li><a href="#namespaces">Namespaces</a> ({len(model.namespaces)})</li>')
         self.out.append("</ul></nav>")
 
-        self.out.append('<section id="classes"><h2>Classes</h2>')
-        for entry in model.class_entries:
-            self._entry(entry)
-        self.out.append("</section>")
-
-        self.out.append('<section id="properties"><h2>Properties</h2>')
-        for entry in model.property_entries:
-            self._entry(entry)
-        self.out.append("</section>")
-
-        self.out.append('<section id="individuals"><h2>Individuals</h2>')
-        for entry in model.individual_entries:
-            self._entry(entry)
-        self.out.append("</section>")
+        for heading, anchor, entries in self.sections:
+            self.out.append(f'<section id="{anchor}"><h2>{heading}</h2>')
+            for entry in entries:
+                self._entry(entry)
+            self.out.append("</section>")
 
         self.out.append('<section id="axioms"><h2>Axioms</h2>')
         if model.axiom_entries:

@@ -54,8 +54,8 @@ from .terms import (
 # stays injective across column tuples
 _KEY_SEPARATOR = "\x1f"
 
-_ISO_DATE_RE = re.compile(r"^(\d{4})(-\d{2})?(-\d{2})?$")
-_DECIMAL_RE = re.compile(r"^[+-]?(\d+(\.\d+)?|\.\d+)$")
+_ISO_DATE_RE = re.compile(r"^([0-9]{4})(-[0-9]{2})?(-[0-9]{2})?$")
+_DECIMAL_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)$")
 
 
 class MappingParseError(DingoError):

@@ -17,7 +17,6 @@ from .terms import (
     DingoError,
     Graph,
     IRI,
-    Literal,
     OWL_NS,
     RDFS_NS,
     RDF_TYPE,
@@ -87,8 +86,6 @@ class Mapping:
 @dataclass
 class ClassInfo:
     iri: IRI
-    labels: list = field(default_factory=list)  # (text, language) pairs
-    comments: list = field(default_factory=list)
     direct_superclasses: set = field(default_factory=set)
     anonymous_superclasses: list = field(default_factory=list)  # opaque blank markers
     mappings: list = field(default_factory=list)
@@ -99,8 +96,6 @@ class ClassInfo:
 class PropertyInfo:
     iri: IRI
     kind: Optional[str] = None  # object- / datatype- / annotation-property
-    labels: list = field(default_factory=list)
-    comments: list = field(default_factory=list)
     domains: set = field(default_factory=set)
     ranges: set = field(default_factory=set)
     direct_superproperties: set = field(default_factory=set)
@@ -362,16 +357,6 @@ def load_ontology(g: Graph) -> OntologySchema:
         if isinstance(t.subject, IRI) and t.subject in properties and isinstance(t.object, IRI):
             properties[t.subject].ranges.add(t.object)
 
-    for predicate, bucket in ((RDFS_LABEL, "labels"), (RDFS_COMMENT, "comments")):
-        for t in g.match(None, predicate, None):
-            if not isinstance(t.subject, IRI) or not isinstance(t.object, Literal):
-                continue
-            pair = (t.object.lexical, t.object.language)
-            if t.subject in classes:
-                getattr(classes[t.subject], bucket).append(pair)
-            if t.subject in properties:
-                getattr(properties[t.subject], bucket).append(pair)
-
     equivalences = []
     mapping_triples = [t for predicate in MAPPING_PREDICATES for t in g.match(None, predicate, None)]
     for t in sorted(mapping_triples, key=triple_sort_key):
@@ -390,13 +375,6 @@ def load_ontology(g: Graph) -> OntologySchema:
                 classes[t.subject].mappings.append(Mapping(kind, t.object))
             if t.subject in properties:
                 properties[t.subject].mappings.append(Mapping(kind, t.object))
-
-    for info in classes.values():
-        info.labels.sort()
-        info.comments.sort()
-    for info in properties.values():
-        info.labels.sort()
-        info.comments.sort()
 
     _check_class_cycles(classes, equivalences)
 

@@ -581,7 +581,7 @@ def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
 
 _INTEGER_LEX = re.compile(r"^[+-]?[0-9]+$")
 _DECIMAL_LEX = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
-_DOUBLE_LEX = re.compile(r"^[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+$")
+_DOUBLE_LEX = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+$")
 _PN_LOCAL_OK = re.compile(r"^$|^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 
 def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:

@@ -41,7 +41,7 @@ NODES = [
     "<http://x/a>", "ex:b", "owl:Class", "owl:Restriction", "d:Grant", "d:Project", "_:l1", "_:l2", "[]", "()"
 ]
 LITERALS = [
-    '"s"', '"t"@en', '"5"^^xsd:integer', '"2020-01"^^xsd:gYearMonth', '"x"^^<http://x/dt>',
+    '"s"', '"s"@en', '"t"@en', '"5"^^xsd:integer', '"2020-01"^^xsd:gYearMonth', '"x"^^<http://x/dt>',
     "1", "-2.5", "1e3", "true",
 ]
 VERBS = [
@@ -156,6 +156,10 @@ def totality_settings(max_examples: int):
 @given(documents())
 @example(PREFIXES + CLASSES + "d:Project ex:p " + "[ ex:p " * 2000 + "1" + " ; a d:Grant ]" * 2000 + " .\n")
 @example(PREFIXES + CLASSES + "d:Project rdfs:subClassOf " + "( " * 2000 + "1" + " _:l1 )" * 2000 + " .\n")
+@example(
+    PREFIXES + CLASSES + 'd:Grant rdfs:label "s", "s"@en ; rdfs:comment "c", "c"@de .\n'
+    '<http://x/i> a d:Grant ; rdfs:label "s", "s"@en .\n'
+)
 def test_every_command_ends_in_an_exit_code(document):
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "doc.ttl")

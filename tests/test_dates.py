@@ -11,6 +11,10 @@ def test_parse_precisions():
 def test_parse_rejects_garbage():
     for bad in ["03/04/2019", "2019-13", "2019-02-30", "19-01-01", "soon", "", "2019-3-1"]:
         assert parse_partial_date(bad) is None
+    # XSD dates are written in the digits 0-9; Arabic-Indic and full-width
+    # digits are Unicode decimals but not XSD ones
+    for bad in ["\u0662\u0660\u0661\u0669-\u0660\u0665", "\u0662\u0660\u0661\u0669", "2019-\uff10\uff15"]:
+        assert parse_partial_date(bad) is None
 
 
 def test_comparison_at_coarser_precision():

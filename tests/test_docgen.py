@@ -2,7 +2,7 @@ import random
 import re
 from pathlib import Path
 
-from dingotk.docgen import _pretty_blank, extract_doc_model, local_name, render_html
+from dingotk.docgen import _display_name, _pretty_blank, extract_doc_model, local_name, render_html
 from dingotk.ontology import load_ontology
 from dingotk.terms import (
     BlankNode,
@@ -259,3 +259,92 @@ def test_pretty_blank_matches_recursive_reference_on_random_structure():
         render = term_renderer(g.prefixes)
         for node in blanks:
             assert _pretty_blank(g, node, render) == _recursive_pretty_blank(g, node, render)
+
+
+MIXED_LABELS = """
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix ex: <http://mixed.example/#> .
+
+ex:Grant a owl:Class ; rdfs:label "s", "s"@en ; rdfs:comment "c"@de, "c" .
+ex:g1 a ex:Grant ; rdfs:label "s"@en, "s" .
+ex:Fund a owl:Class ; rdfs:label "Fund", "Fonds"@de, "Fund"@en .
+"""
+
+
+def test_equal_label_texts_list_untagged_before_tagged():
+    g = parse_turtle(MIXED_LABELS)
+    model = extract_doc_model(g, load_ontology(g))
+    fund, cls = model.class_entries
+    (individual,) = model.individual_entries
+    for entry in (cls, individual):
+        assert entry.labels == [("s", None), ("s", "en")]
+        assert _display_name(entry) == "s"
+    # the English label names the entry, though the German one sorts first
+    assert fund.labels == [("Fonds", "de"), ("Fund", None), ("Fund", "en")]
+    assert _display_name(fund) == "Fund"
+    assert cls.comments == [("c", None), ("c", "de")]
+    html = render_html(model)
+    assert '<dt>Labels</dt><dd>s; s <span class="lang">(en)</span></dd>' in html
+    assert '<dt>Comments</dt><dd>c; c <span class="lang">(de)</span></dd>' in html
+
+
+def test_display_name_without_english_is_the_first_label_by_text():
+    g = parse_turtle(
+        "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+        "@prefix owl: <http://www.w3.org/2002/07/owl#> .\n"
+        '<http://v.example/#A> a owl:Class ; rdfs:label "Zwei"@de, "Deux"@fr .\n'
+    )
+    (entry,) = extract_doc_model(g, load_ontology(g)).class_entries
+    assert entry.labels == [("Deux", "fr"), ("Zwei", "de")]
+    assert _display_name(entry) == "Deux"
+
+
+ORDERS = """
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix owl: <http://www.w3.org/2002/07/owl#> .
+@prefix skos: <http://www.w3.org/2004/02/skos/core#> .
+@prefix a: <http://a.example/#> .
+@prefix b: <http://b.example/#> .
+
+a:A a owl:Class .
+b:A a owl:Class .
+a:p a owl:ObjectProperty ;
+    rdfs:domain [ owl:unionOf ( a:A b:A ) ], a:A ;
+    rdfs:range b:A ;
+    rdfs:subPropertyOf [ owl:inverseOf a:q ], a:q ;
+    skos:closeMatch b:p .
+a:q a owl:ObjectProperty .
+a:i a a:A .
+b:i a b:A .
+"""
+
+
+def test_anchors_are_unique_in_class_property_individual_order():
+    g = parse_turtle(ORDERS)
+    model = extract_doc_model(g, load_ontology(g))
+    entries = model.class_entries + model.property_entries + model.individual_entries
+    assert [(e.iri.value, e.anchor) for e in entries] == [
+        ("http://a.example/#A", "class-A"),
+        ("http://b.example/#A", "class-A-2"),
+        ("http://a.example/#p", "prop-p"),
+        ("http://a.example/#q", "prop-q"),
+        ("http://a.example/#i", "ind-i"),
+        ("http://b.example/#i", "ind-i-2"),
+    ]
+    html = render_html(model)
+    assert '<dt>type</dt><dd><a href="#class-A-2">A</a></dd>' in html
+
+
+def test_property_relations_list_iris_then_blanks_then_mappings():
+    g = parse_turtle(ORDERS)
+    model = extract_doc_model(g, load_ontology(g))
+    (entry,) = [e for e in model.property_entries if e.anchor == "prop-p"]
+    assert entry.relations == [
+        ("domain", IRI("http://a.example/#A")),
+        ("range", IRI("http://b.example/#A")),
+        ("domain", "[ owl:unionOf ( a:A b:A ) ]"),
+        ("superproperty", IRI("http://a.example/#q")),
+        ("superproperty", "[ owl:inverseOf a:q ]"),
+        ("skos-close", IRI("http://b.example/#p")),
+    ]

@@ -1,6 +1,7 @@
 """Import boundaries: `import dingotk` loads no submodule, each CLI command
 loads only the modules it runs, no module reaches into a sibling's private
-names, and only `terms` reads a graph's index layout.
+names or imports a name it never uses, and only `terms` reads a graph's
+index layout.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
@@ -202,3 +203,42 @@ def test_the_layout_check_sees_attribute_reads_on_any_object():
 )
 def test_only_terms_reads_the_graph_index_layout(path):
     assert graph_layout_reads(path.read_text("utf-8")) == []
+
+
+def unused_imports(source: str) -> list:
+    """Names the source imports and never reads; `from __future__` is exempt.
+
+    A read is any load of the bound name, attribute chains included, so
+    `import os.path` counts as used by `os.sep`.
+    """
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: imports {name}" for line, name in bound if name not in read]
+
+
+def test_the_unused_import_check_sees_every_import_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, json\n"
+        "from .terms import IRI, Literal as L, Graph\n"
+        "def f(g: Graph) -> None:\n"
+        "    from . import shapes\n"
+        "    return os.sep, IRI\n"
+    )
+    assert unused_imports(source) == [
+        "line 2: imports json",
+        "line 3: imports L",
+        "line 5: imports shapes",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "dingotk").glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text("utf-8")) == []

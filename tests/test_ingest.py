@@ -73,6 +73,13 @@ def test_entity_lookup_first_rule_wins_and_spec_stays_frozen():
     with pytest.raises(AttributeError):
         spec.base_iri = "http://elsewhere.org/"
 
+
+def test_comments_and_blank_lines_inside_an_entity_block_are_skipped():
+    commented = MINIMAL.replace("    key id\n", "    # the key column\n\n    key id\n")
+    assert commented != MINIMAL
+    assert parse_mapping(commented) == parse_mapping(MINIMAL)
+
+
 def test_dangling_ref_is_an_error():
     text = MINIMAL.replace(": string", ": ref Ghost")
     with pytest.raises(MappingParseError) as err:
@@ -170,6 +177,9 @@ def test_bundled_mapping_rule_counts():
 
 def test_mint_iri_rule():
     assert mint_iri("http://ex/", D.Grant, "ERC-2018-001") == IRI("http://ex/grant/ERC-2018-001")
+    # a base that ends in neither "/" nor "#" gets a "/"
+    assert mint_iri("http://ex", D.Grant, "g1") == IRI("http://ex/grant/g1")
+    assert mint_iri("http://ex#", D.Grant, "g1") == IRI("http://ex#grant/g1")
 
 
 def test_mint_iri_percent_encodes():
@@ -310,6 +320,19 @@ def test_bad_decimal_is_a_failure_not_a_crash():
     assert graph.objects(IRI("http://ex.org/data/grant/g1"), D.funded_amount) == []
 
 
+def test_cells_in_digits_outside_ascii_are_failures():
+    # Arabic-Indic digits: Unicode decimals, but not XSD ones
+    spec = parse_mapping(TYPED)
+    row = {"id": "g1", "start": "\u0662\u0660\u0661\u0669", "amount": "\u0663.\u0665", "proj": "p"}
+    graph, report = ingest_table([row], spec)
+    assert [(f.column, f.reason) for f in report.failures] == [
+        ("start", "not an ISO date: '\u0662\u0660\u0661\u0669'"),
+        ("amount", "not a decimal: '\u0663.\u0665'"),
+    ]
+    subject = IRI("http://ex.org/data/grant/g1")
+    assert graph.objects(subject, D.start_time) == graph.objects(subject, D.funded_amount) == []
+
+
 def test_empty_cells_emit_no_triples():
     spec = parse_mapping(MINIMAL)
     graph, report = ingest_table([{"id": "t1", "name": ""}], spec)
@@ -371,6 +394,10 @@ def test_read_csv_records_rfc4180():
         {"a": "x, y", "b": "2"},
         {"a": "line\nbreak", "b": 'quo"te'},
     ]
+
+
+def test_read_csv_empty_text_has_no_records():
+    assert read_csv_records("") == []
 
 
 def test_read_csv_custom_delimiter():

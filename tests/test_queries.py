@@ -303,6 +303,17 @@ def test_reified_participation_roles(snapshot_schema):
     assert found == [Participation(iri("p1"), iri("bob"), D.co_investigator)]
 
 
+def test_reified_participation_without_a_role(snapshot_schema):
+    data = fixture(
+        "x:p1 a d:Project ; d:has_participation x:part1 .\n"
+        "x:part1 a d:Participation ; d:participant x:bob .\n"
+        "x:bob a d:Person .\n"
+    )
+    assert participants_with_roles(data, snapshot_schema, iri("p1")) == [
+        Participation(iri("p1"), iri("bob"), None)
+    ]
+
+
 def test_no_participants(snapshot_schema):
     assert participants_with_roles(UNFUNDED, snapshot_schema, iri("lonely")) == []
 
@@ -502,6 +513,13 @@ def test_temporal_fixture_reports_exactly_the_bad_pairs():
     assert bad.property_pair == (D.start_time, D.end_time)
     assert bad.start_value == "2019-01-01"
     assert bad.end_value == "2018-12-31"
+
+
+def test_dates_in_digits_outside_ascii_are_unparseable():
+    data = fixture(
+        'x:n d:start_time "\u0662\u0660\u0661\u0669-\u0660\u0665" ; d:end_time "2020-01" .'
+    )
+    assert [(v.node, v.code) for v in check_temporal(data)] == [(iri("n"), "unparseable-date")]
 
 
 def test_equal_at_coarser_precision_is_not_a_violation():

@@ -339,6 +339,13 @@ LEXER_ERRORS = [
      "undefined prefix 'ex:' (at 'ex:o')"),
     ("<http://x/s> <http://x/p> <o> .", RelativeIriError, 1, 27,
      "relative IRI 'o' without a base (at 'o')"),
+    ('<http://x/s> <http://x/p> "x"^^<http://www.w3.org/1999/02/22-rdf-syntax-ns#langString> .',
+     TurtleParseError, 1, 32,
+     "rdf:langString literal requires a language tag (at 'http://www.w3.org/1999/02/22-rdf-syntax-ns#langString')"),
+    ("<http://x/s> <http://x/p>\n  <http://a/b c> .", TurtleParseError, 2, 3,
+     "IRI contains forbidden character ' ': 'http://a/b c' (at 'http://a/b c')"),
+    ("@prefix <http://a/> .", TurtleParseError, 1, 9, "expected prefix name (at 'http://a/')"),
+    ("@base ex:x .", TurtleParseError, 1, 7, "expected base IRI (at 'ex:x')"),
 ]
 
 
@@ -474,6 +481,23 @@ def test_serialize_is_deterministic_for_equal_graphs():
     g2 = Graph(list(reversed(triples)), {"d": DINGO})
     assert g1 == g2
     assert serialize_turtle(g1) == serialize_turtle(g2)
+
+
+def test_numbers_are_written_bare_only_in_ascii_digits():
+    s, p = IRI("http://x/s"), IRI("http://x/p")
+    # "\u0661" is the Arabic-Indic one: a Unicode decimal, but not an XSD digit
+    for lexical, datatype, written in [
+        ("12", XSD_INTEGER, "12"),
+        ("1.5", XSD_DECIMAL, "1.5"),
+        ("1e1", XSD_DOUBLE, "1e1"),
+        ("\u0661\u0662", XSD_INTEGER, f'"\u0661\u0662"^^<{XSD_INTEGER}>'),
+        ("\u0661.5", XSD_DECIMAL, f'"\u0661.5"^^<{XSD_DECIMAL}>'),
+        ("\u0661e1", XSD_DOUBLE, f'"\u0661e1"^^<{XSD_DOUBLE}>'),
+    ]:
+        g = Graph([Triple(s, p, Literal(lexical, datatype))])
+        text = serialize_turtle(g)
+        assert text == f"<http://x/s> <http://x/p> {written} .\n"
+        assert parse_turtle(text) == g
 
 
 def test_serializer_escapes_strings():

@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 # listed is also reachable as an attribute (``dingotk.shapes``)
 _EXPORTS = {
     "terms": ("BlankNode", "DingoError", "Graph", "IRI", "Literal", "Term", "Triple"),
-    "turtle": ("TurtleParseError", "parse_turtle", "serialize_turtle"),
+    "turtle": ("TurtleParseError", "parse_turtle", "serialize_turtle", "turtle_chunks"),
     "isomorphism": ("BlankNodeLimitError", "graph_isomorphic"),
     "ontology": (
         "DINGO_BASE", "DingoTerms", "Mapping", "OntologySchema", "SubclassCycleError",

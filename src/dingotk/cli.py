@@ -10,14 +10,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import warnings
 from importlib import resources
-from typing import Optional
+from typing import Iterable, Optional
 
 from .ontology import DINGO_BASE, DingoTerms, OntologySchema, load_ontology
 from .terms import BlankNode, DingoError, Graph, IRI, Term, gc_paused
-from .turtle import parse_turtle, serialize_turtle
+from .turtle import parse_turtle, turtle_chunks
 
 EXIT_OK = 0
 EXIT_NONCONFORMANT = 1
@@ -79,12 +80,13 @@ def _parse_node(text: str) -> Term:
     return IRI(text)
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
+    # written as they come, so a streamed output is never held whole
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _delimiter(text: str) -> str:
@@ -145,7 +147,7 @@ def build_parser() -> _ArgumentParser:
 
 def _cmd_convert(args) -> int:
     graph = parse_turtle(_read_file(args.input), base=args.base)
-    _emit(serialize_turtle(graph), args.out)
+    _emit(turtle_chunks(graph), args.out)
     return EXIT_OK
 
 
@@ -220,7 +222,7 @@ def _cmd_ingest(args) -> int:
     else:
         rows = ingest.read_csv_records(text, delimiter=args.delimiter)
     graph, report = ingest.ingest_table(rows, mapping)
-    _emit(serialize_turtle(graph), args.out)
+    _emit(turtle_chunks(graph), args.out)
     if args.format == "json":
         payload = {
             "rows": report.rows,
@@ -311,7 +313,7 @@ def _cmd_docgen(args) -> int:
     graph = _load_graph(args.ontology)
     schema = load_ontology(graph)
     model = docgen.extract_doc_model(graph, schema)
-    _emit(docgen.render_html(model), args.out)
+    _emit((docgen.render_html(model),), args.out)
     return EXIT_OK
 
 
@@ -352,7 +354,17 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        # a closed pipe or a full disk; what stdout still buffers goes to
+        # os.devnull, so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if code != EXIT_INPUT_ERROR:  # else run has reported it
+            print(f"error: {exc}", file=sys.stderr)
+            code = EXIT_INPUT_ERROR
+    sys.exit(code)
 
 
 if __name__ == "__main__":

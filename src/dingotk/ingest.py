@@ -54,8 +54,9 @@ from .terms import (
 # stays injective across column tuples
 _KEY_SEPARATOR = "\x1f"
 
-_ISO_DATE_RE = re.compile(r"^([0-9]{4})(-[0-9]{2})?(-[0-9]{2})?$")
-_DECIMAL_RE = re.compile(r"^[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)$")
+# checked with fullmatch: "$" also matches before a final newline
+_ISO_DATE_RE = re.compile(r"([0-9]{4})(-[0-9]{2})?(-[0-9]{2})?")
+_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)")
 
 
 class MappingParseError(DingoError):
@@ -292,7 +293,7 @@ def _convert_date(raw: str, fmt: Optional[str]) -> Literal:
     if fmt:
         parsed = datetime.strptime(raw, fmt)  # ValueError propagates to caller
         return Literal(parsed.date().isoformat(), XSD_DATE)
-    match = _ISO_DATE_RE.match(raw)
+    match = _ISO_DATE_RE.fullmatch(raw)
     if not match:
         raise ValueError(f"not an ISO date: {raw!r}")
     if match.group(3):
@@ -369,7 +370,7 @@ def _convert_cell(raw: str, rule: PropertyRule, mapping: MappingSpec, mint):
     if rule.value_kind == "date":
         return _convert_date(raw, rule.date_format)
     if rule.value_kind == "decimal":
-        if not _DECIMAL_RE.match(raw):
+        if not _DECIMAL_RE.fullmatch(raw):
             raise ValueError(f"not a decimal: {raw!r}")
         return Literal(raw, XSD_DECIMAL)
     # ref: the cell is the referenced entity's key

@@ -132,7 +132,7 @@ _TOKEN_RE = re.compile(
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
   | (?P<iri><[^<>\s]*>)
-  | (?P<card>\{\s*\d+\s*(?:,\s*(?:\d+)?\s*)?\})
+  | (?P<card>\{\s*[0-9]+\s*(?:,\s*(?:[0-9]+)?\s*)?\})
   | (?P<punct>[{};])
   | (?P<ref>@[A-Za-z_][A-Za-z0-9_-]*)
   | (?P<short>[?*+])

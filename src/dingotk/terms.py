@@ -5,9 +5,9 @@ immutable named tuples, hashed and compared by value in C; each constructor
 validates in `__new__`, so build them by calling the class, never with
 `_make` or `_replace`. Graphs are sets of triples with an ordered prefix map,
 held in one subject-first index built with the graph and one predicate-first
-index built on first use. Their triples never change after construction, and
-building the second index is idempotent, so graphs are safe to share between
-threads.
+index whose entry for a predicate is built on first use. Their triples never
+change after construction, and building an entry is idempotent, so graphs are
+safe to share between threads.
 """
 
 from __future__ import annotations
@@ -230,10 +230,11 @@ class Graph:
     nested indexes, as in Hexastore (Weiss, Karras and Bernstein, VLDB 2008)
     cut down to the orderings the toolkit reads. Subject -> predicate ->
     triples is built with the graph. Predicate -> object -> triples is built
-    from it the first time a lookup binds a predicate but no subject, and
-    kept; building it twice gives equal indexes, so a graph is still safe to
-    share between threads. Iteration is `match()` order, the canonical
-    serialization order, so everything downstream is deterministic.
+    from it one predicate at a time, the first time a lookup binds that
+    predicate but no subject, and kept; building an entry twice gives equal
+    entries, so a graph is still safe to share between threads. Iteration is
+    `match()` order, the canonical serialization order, so everything
+    downstream is deterministic.
 
     Only `_lookup`, `subject_groups` and the index builders read the index
     layout; every other member goes through `_lookup`. `len`, `in` and
@@ -279,24 +280,30 @@ class Graph:
         self._pos = None
         self._len = count
 
-    def _pos_index(self) -> dict:
+    def _pos_index(self, predicate: Term) -> dict:
+        """The object -> triples index of one predicate, built on first use.
+
+        A predicate the graph lacks is kept as an empty index too, so a
+        lookup that misses does not scan again.
+        """
         pos = self._pos
         if pos is None:
-            pos = {}
+            pos = self._pos = {}
+        by_o = pos.get(predicate)
+        if by_o is None:
+            by_o = {}
             with gc_paused():
                 for by_p in self._spo.values():
-                    for p, leaf in by_p.items():
-                        by_o = pos.get(p)
-                        if by_o is None:
-                            by_o = pos[p] = {}
+                    leaf = by_p.get(predicate)
+                    if leaf is not None:
                         for t in leaf:
                             o = t[2]
                             if o in by_o:
                                 by_o[o].append(t)
                             else:
                                 by_o[o] = [t]
-            self._pos = pos
-        return pos
+            pos[predicate] = by_o
+        return by_o
 
     @property
     def triples(self) -> frozenset:
@@ -349,9 +356,7 @@ class Graph:
             else:
                 found = [t for leaf in by_p.values() for t in leaf]
         elif predicate is not None:
-            by_o = self._pos_index().get(predicate)
-            if by_o is None:
-                return ()
+            by_o = self._pos_index(predicate)
             if object is not None:
                 return by_o.get(object, ())
             return [t for leaf in by_o.values() for t in leaf]

@@ -109,9 +109,9 @@ _TOKEN_RE = re.compile(
       | (?P<string>{_short_string('"')}|{_short_string("'")})
       | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
       | (?P<datatype>\^\^)
-      | (?P<double>[+-]?(?:\d+\.\d*|\.\d+|\d+)[eE][+-]?\d+)
-      | (?P<decimal>[+-]?\d*\.\d+)
-      | (?P<integer>[+-]?\d+)
+      | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+)
+      | (?P<decimal>[+-]?[0-9]*\.[0-9]+)
+      | (?P<integer>[+-]?[0-9]+)
       | (?P<punct>[.;,\[\]()])
       | (?P<blank>_:[\w%.-]*[\w%-])
       | (?P<name>(?!_:){_NAME})
@@ -136,8 +136,8 @@ def _unescape(raw: str) -> str:
 
 
 def _starts_number(text: str, pos: int) -> bool:
-    # str.isdigit() is wider than \d, so "²", ".²" and "-." start numbers
-    # that never complete
+    # str.isdigit() is wider than [0-9], so "١", "²", ".²" and "-." start
+    # numbers that never complete
     c, nxt = text[pos], text[pos + 1 : pos + 2]
     if c in "+-":
         return nxt.isdigit() or nxt == "."
@@ -316,7 +316,7 @@ class _Parser:
         # per distinct literal, so each is built and validated once and
         # equal terms are identical, which set and dict lookups test first
         self._iris: dict[str, IRI] = {t.value: t for t in (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL)}
-        self._literals: dict[tuple, Literal] = {}
+        self._literals: dict[Literal, Literal] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -367,7 +367,8 @@ class _Parser:
                 literal = Literal(lexical, datatype, language)
             except ValueError as exc:
                 raise self._error(str(exc), tok) from None
-            self._literals[key] = literal
+            # a literal equals and hashes as its key tuple, so it is its own key
+            self._literals[literal] = literal
         return literal
 
     def _resolve_iri(self, raw: str, tok: tuple) -> IRI:
@@ -579,9 +580,10 @@ def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-_INTEGER_LEX = re.compile(r"^[+-]?[0-9]+$")
-_DECIMAL_LEX = re.compile(r"^[+-]?[0-9]*\.[0-9]+$")
-_DOUBLE_LEX = re.compile(r"^[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+$")
+# checked with fullmatch: "$" also matches before a final newline
+_INTEGER_LEX = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_LEX = re.compile(r"[+-]?[0-9]*\.[0-9]+")
+_DOUBLE_LEX = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+")
 _PN_LOCAL_OK = re.compile(r"^$|^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
 
 def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
@@ -589,29 +591,31 @@ def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
 
     The longest matching namespace wins; ties go to the lexicographically
     smallest prefix. An IRI whose remainder is not a safe local name is
-    written in full. The function remembers the text of each term it has
-    written, so a term that recurs is rendered once.
+    written in full. The function remembers the text of each IRI it has
+    written, datatypes included, so an IRI that recurs is rendered once.
+    Literals and blank nodes, which mostly occur once and are quick to
+    write, are rendered on every call, so the memo stays small.
     """
     table = sorted(prefixes.items(), key=lambda item: (-len(item[1]), item[0]))
-    rendered: dict = {}
+    rendered: dict[str, str] = {}
 
     def render_iri(value: str) -> str:
-        for prefix, namespace in table:
-            if value.startswith(namespace) and _PN_LOCAL_OK.match(value[len(namespace) :]):
-                return f"{prefix}:{value[len(namespace) :]}"
-        return f"<{value}>"
+        text = rendered.get(value)
+        if text is None:
+            text = f"<{value}>"
+            for prefix, namespace in table:
+                if value.startswith(namespace) and _PN_LOCAL_OK.match(value[len(namespace) :]):
+                    text = f"{prefix}:{value[len(namespace) :]}"
+                    break
+            rendered[value] = text
+        return text
 
     def render(term: Term) -> str:
-        text = rendered.get(term)
-        if text is None:
-            if isinstance(term, IRI):
-                text = render_iri(term.value)
-            elif isinstance(term, BlankNode):
-                text = f"_:{term.label}"
-            else:
-                text = _render_literal(term, render_iri)
-            rendered[term] = text
-        return text
+        if isinstance(term, IRI):
+            return render_iri(term.value)
+        if isinstance(term, BlankNode):
+            return f"_:{term.label}"
+        return _render_literal(term, render_iri)
 
     return render
 
@@ -622,15 +626,37 @@ def _render_literal(literal: Literal, render_iri: Callable[[str], str]) -> str:
     dt = literal.datatype
     if dt == XSD_STRING:
         return f'"{escape_string(literal.lexical)}"'
-    if dt == XSD_INTEGER and _INTEGER_LEX.match(literal.lexical):
+    if dt == XSD_INTEGER and _INTEGER_LEX.fullmatch(literal.lexical):
         return literal.lexical
-    if dt == XSD_DECIMAL and _DECIMAL_LEX.match(literal.lexical):
+    if dt == XSD_DECIMAL and _DECIMAL_LEX.fullmatch(literal.lexical):
         return literal.lexical
-    if dt == XSD_DOUBLE and _DOUBLE_LEX.match(literal.lexical):
+    if dt == XSD_DOUBLE and _DOUBLE_LEX.fullmatch(literal.lexical):
         return literal.lexical
     if dt == XSD_BOOLEAN and literal.lexical in ("true", "false"):
         return literal.lexical
     return f'"{escape_string(literal.lexical)}"^^{render_iri(dt)}'
+
+
+def turtle_chunks(graph: Graph) -> Iterator[str]:
+    """Canonical Turtle in pieces, each ending in a newline.
+
+    One piece per @prefix line, then the blank line after them, then one
+    statement per subject; `"".join` of the pieces is `serialize_turtle`.
+    Writing them as they come never holds the whole text in memory.
+    """
+    render = term_renderer(graph.prefixes)
+    prefixes = sorted(graph.prefixes.items())
+    for p, ns in prefixes:
+        yield f"@prefix {p}: <{ns}> .\n"
+    if prefixes and graph:
+        yield "\n"
+    for subject, groups in graph.subject_groups():
+        parts = []
+        for predicate, objects in groups:
+            rendered_pred = "a" if predicate == RDF_TYPE else render(predicate)
+            rendered_objs = ", ".join(render(o) for o in objects)
+            parts.append(f"{rendered_pred} {rendered_objs}")
+        yield f"{render(subject)} " + " ;\n    ".join(parts) + " .\n"
 
 
 def serialize_turtle(graph: Graph) -> str:
@@ -640,19 +666,4 @@ def serialize_turtle(graph: Graph) -> str:
     yields a graph isomorphic to the input.
     """
     with gc_paused():
-        render = term_renderer(graph.prefixes)
-        lines = [f"@prefix {p}: <{ns}> ." for p, ns in sorted(graph.prefixes.items())]
-        if lines and graph:
-            lines.append("")
-        for subject, groups in graph.subject_groups():
-            parts = []
-            for predicate, objects in groups:
-                rendered_pred = "a" if predicate == RDF_TYPE else render(predicate)
-                rendered_objs = ", ".join(render(o) for o in objects)
-                parts.append(f"{rendered_pred} {rendered_objs}")
-            lines.append(f"{render(subject)} " + " ;\n    ".join(parts) + " .")
-        if not lines:
-            return ""
-        # the final "" gives the closing newline, so the output is built once
-        lines.append("")
-        return "\n".join(lines)
+        return "".join(turtle_chunks(graph))

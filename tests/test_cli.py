@@ -1,6 +1,11 @@
 import gc
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 from html import escape
+from pathlib import Path
 
 import pytest
 
@@ -546,3 +551,84 @@ def test_deep_nests_convert_validate_and_document(tmp_path, capsys, opener, clos
         assert captured.err == ""
     # docgen renders the whole nest inline
     assert escape(opener * depth + "1" + closer * depth) in captured.out
+
+
+WORDS = "ancient battery coral dark epidemic folding genomics glacier matter medieval".split()
+
+
+def _funding_document(units: int) -> str:
+    """A conformant funding graph, 9 triples per unit, a third of its objects literals."""
+    lines = [f"@prefix d: <{DINGO_BASE}> .", "@prefix x: <http://x/> .",
+             "@prefix xsd: <http://www.w3.org/2001/XMLSchema#> ."]
+    for i in range(units):
+        title = " ".join(WORDS[int(digit)] for digit in f"{i:05d}")
+        lines.append(f'x:p{i} a d:Project ; d:funded_by x:g{i} ; d:title "{title.capitalize()}" ;\n'
+                     f'    d:abstract "A study of {title}, unit {i}." .')
+        lines.append(f'x:g{i} a d:Grant ; d:funds x:p{i} ; d:has_beneficiary x:org{i % 50} ;\n'
+                     f'    d:funded_amount "{i}.50"^^xsd:decimal ; d:start_time "20{i % 25:02d}-01-15"^^xsd:date .')
+    lines += [f"x:org{k} a d:Organisation ." for k in range(50)]
+    return "\n".join(lines) + "\n"
+
+
+def _traced_peak(call) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convert_and_validate_peak_at_their_parse(tmp_path, capsys):
+    # convert streams its output, and validate indexes only the predicates it
+    # binds, so neither holds much beyond the graph its parse built
+    path, out = tmp_path / "funding.ttl", tmp_path / "out.ttl"
+    path.write_text(_funding_document(2200), encoding="utf-8")
+    codes = []
+    parse = _traced_peak(lambda: parse_turtle(path.read_text("utf-8")))
+    convert = _traced_peak(lambda: codes.append(run(["convert", str(path), "--out", str(out)])))
+    validate = _traced_peak(lambda: codes.append(run(["validate", str(path)])))
+    assert codes == [0, 0] and capsys.readouterr().out == "conformant\n"
+    assert len(parse_turtle(out.read_text("utf-8"))) == 2200 * 9 + 50
+    assert convert <= 1.10 * parse, (parse, convert)
+    assert validate <= 1.10 * parse, (parse, validate)
+
+
+def _child_env(unbuffered: bool) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_closes_early_gets_exit_2_and_one_error_line(tmp_path, unbuffered):
+    # about 1 MB, far more than a pipe holds, so convert is still writing
+    # when the reader goes
+    path = tmp_path / "big.ttl"
+    path.write_text(
+        "".join(f'<http://x/s{i}> <http://x/p> "value {i:06d}" .\n' for i in range(20_000)), "utf-8"
+    )
+    child = subprocess.Popen(
+        [sys.executable, "-m", "dingotk.cli", "convert", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(unbuffered),
+    )
+    assert child.stdout.readline() == b'<http://x/s0> <http://x/p> "value 000000" .\n'
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_stdout_that_fails_after_the_command_gets_exit_2_and_one_error_line():
+    # stats' few lines wait in stdout's buffer until the process ends
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "dingotk.cli", "stats"],
+            stdout=full, stderr=subprocess.PIPE, env=_child_env(False), timeout=60,
+        )
+    assert child.returncode == 2
+    assert child.stderr == b"error: [Errno 28] No space left on device\n"

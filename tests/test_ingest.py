@@ -333,6 +333,20 @@ def test_cells_in_digits_outside_ascii_are_failures():
     assert graph.objects(subject, D.start_time) == graph.objects(subject, D.funded_amount) == []
 
 
+def test_cells_ending_in_a_newline_are_failures():
+    # a "$" anchor also matches before a final newline; these cells must not
+    # become a gYear or a decimal
+    spec = parse_mapping(TYPED)
+    row = {"id": "g1", "start": "2019\n", "amount": "1.5\n", "proj": "p"}
+    graph, report = ingest_table([row], spec)
+    assert [(f.column, f.reason) for f in report.failures] == [
+        ("start", "not an ISO date: '2019\\n'"),
+        ("amount", "not a decimal: '1.5\\n'"),
+    ]
+    subject = IRI("http://ex.org/data/grant/g1")
+    assert graph.objects(subject, D.start_time) == graph.objects(subject, D.funded_amount) == []
+
+
 def test_empty_cells_emit_no_triples():
     spec = parse_mapping(MINIMAL)
     graph, report = ingest_table([{"id": "t1", "name": ""}], spec)

@@ -163,6 +163,9 @@ def test_unresolvable_iri_in_shape_file(text, line, message):
         (f"shape S target <{EX}C>\n ;", 2, "expected '{' to open shape body, got ';'"),
         ("shape S {\n < }", 2, "unexpected character '<'"),
         ("shape S {\n @1 }", 2, "unexpected character '@'"),
+        # cardinality bounds are ASCII digits; "\u0662" is an Arabic-Indic two
+        (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, "expected an IRI, got '{'"),
+        (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, "expected an IRI, got '{'"),
     ],
 )
 def test_shape_file_syntax_errors_name_their_line(text, line, message):

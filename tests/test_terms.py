@@ -443,6 +443,24 @@ def test_graph_agrees_with_the_set_of_its_input_triples(items, rng):
     assert g._pos is not None
 
 
+def test_the_predicate_index_is_built_one_predicate_at_a_time():
+    s, o = IRI(EX + "s"), IRI(EX + "o")
+    p, q, absent = IRI(EX + "p"), IRI(EX + "q"), IRI(EX + "absent")
+    g = Graph([Triple(s, p, o), Triple(o, p, s), Triple(s, q, o), Triple(s, RDF_TYPE, o)])
+    assert g.objects(s, p) == [o] and g._pos is None  # a bound subject needs no index
+    assert g.subjects(p, o) == [s]
+    assert list(g._pos) == [p]
+    # an absent predicate matches nothing and is kept, so the next miss does not scan
+    assert g.match(None, absent, None) == [] and g.subjects(absent, o) == []
+    assert g._pos == {p: {o: [Triple(s, p, o)], s: [Triple(o, p, s)]}, absent: {}}
+    # a copy keeps the entries built so far and builds the rest as it goes
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy._pos == g._pos
+    assert copy.match(None, q, None) == [Triple(s, q, o)]
+    assert set(copy._pos) == {p, absent, q} and set(g._pos) == {p, absent}
+    assert copy == g
+
+
 def test_threads_that_race_to_build_the_predicate_index_all_read_it_right():
     g = random_graph(random.Random(5), max_triples=400, max_blanks=8)
     predicates = sorted({t.predicate for t in g}, key=term_sort_key)

@@ -29,6 +29,7 @@ from dingotk.turtle import (
     parse_turtle,
     serialize_turtle,
     term_renderer,
+    turtle_chunks,
 )
 from dingotk.isomorphism import graph_isomorphic
 
@@ -320,6 +321,12 @@ LEXER_ERRORS = [
     ("<http://x/s> <http://x/p> .² .", TurtleParseError, 1, 27, "malformed number"),
     ("<http://x/s> <http://x/p> 1² .", TurtleParseError, 1, 28, "malformed number"),
     ("<http://x/s> <http://x/p> +. .", TurtleParseError, 1, 27, "malformed number"),
+    # Turtle numbers are ASCII digits; "\u0661"... are Arabic-Indic ones
+    ("<http://x/s> <http://x/p> \u0661\u0662 .", TurtleParseError, 1, 27, "malformed number"),
+    ("<http://x/s> <http://x/p> \u0663.\u0665 .", TurtleParseError, 1, 27, "malformed number"),
+    ("<http://x/s> <http://x/p> -\u0661 .", TurtleParseError, 1, 27, "malformed number"),
+    ("<http://x/s> <http://x/p> 1e\u0661 .", TurtleParseError, 1, 28,
+     "unexpected bare word (at 'e\u0661')"),
     ("_:. <http://x/p> 1 .", TurtleParseError, 1, 3, "empty blank node label"),
     ("<http://x/s> <http://x/p> _: .", TurtleParseError, 1, 29, "empty blank node label"),
     ("<http://x/s> <http://x/p>\n   hello .", TurtleParseError, 2, 4,
@@ -493,11 +500,33 @@ def test_numbers_are_written_bare_only_in_ascii_digits():
         ("\u0661\u0662", XSD_INTEGER, f'"\u0661\u0662"^^<{XSD_INTEGER}>'),
         ("\u0661.5", XSD_DECIMAL, f'"\u0661.5"^^<{XSD_DECIMAL}>'),
         ("\u0661e1", XSD_DOUBLE, f'"\u0661e1"^^<{XSD_DOUBLE}>'),
+        # a final newline is not part of a bare number
+        ("12\n", XSD_INTEGER, f'"12\\n"^^<{XSD_INTEGER}>'),
+        ("1.5\n", XSD_DECIMAL, f'"1.5\\n"^^<{XSD_DECIMAL}>'),
+        ("1e1\n", XSD_DOUBLE, f'"1e1\\n"^^<{XSD_DOUBLE}>'),
     ]:
         g = Graph([Triple(s, p, Literal(lexical, datatype))])
         text = serialize_turtle(g)
         assert text == f"<http://x/s> <http://x/p> {written} .\n"
         assert parse_turtle(text) == g
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph(),
+        Graph(prefixes={"x": "http://x/", "d": DINGO}),
+        random_graph(random.Random(23), max_triples=200),
+    ],
+    ids=["empty", "prefixes-only", "random"],
+)
+def test_turtle_chunks_join_to_the_serialization(graph):
+    chunks = list(turtle_chunks(graph))
+    assert "".join(chunks) == serialize_turtle(graph)
+    assert all(chunk.endswith("\n") for chunk in chunks)
+    # one per @prefix line, the blank line after them, one per subject
+    subjects = len({t.subject for t in graph})
+    assert len(chunks) == len(graph.prefixes) + (1 if graph.prefixes and graph else 0) + subjects
 
 
 def test_serializer_escapes_strings():

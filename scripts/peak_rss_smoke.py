@@ -4,10 +4,10 @@ Writes the seeded synthetic corpus of perfbench/corpus.py (10^5 triples by
 default) to a temporary directory, then runs three child processes on it:
 one that imports the CLI and only parses it, `dingotk convert --out` and
 `dingotk validate`. Each child's peak resident size is its own ru_maxrss,
-read with wait4. The check fails when either command peaks more than the
-allowance above the parse. Run it from the root of a checkout:
+read with wait4. The check fails when either command peaks more than
+ALLOW_MIB above the parse. Run it from the root of a checkout:
 
-    python3 scripts/peak_rss_smoke.py [--seed 1] [--triples 100000] [--allow-mib 2]
+    python3 scripts/peak_rss_smoke.py [--seed 1] [--triples 100000]
 
 This process stays small and starts every child the same way, so whatever
 a child inherits in its peak from this one is the same for all three.
@@ -23,6 +23,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ALLOW_MIB = 2.0  # how far either command may peak above the parse
 
 WRITE_CORPUS = (
     "import sys; sys.path.insert(0, sys.argv[1]); import corpus; "
@@ -51,7 +52,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--triples", type=int, default=100_000)
-    parser.add_argument("--allow-mib", type=float, default=2.0)
     args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp:
@@ -67,10 +67,10 @@ def main() -> int:
         for argv in (["convert", corpus, "--out", str(Path(tmp) / "out.ttl")], ["validate", corpus]):
             peak = peak_mib([*cli, *argv], env)
             over = peak - parse
-            failed |= over > args.allow_mib
+            failed |= over > ALLOW_MIB
             print(f"{argv[0]}: {peak:.1f} MiB ({over:+.1f} MiB over the parse)")
     if failed:
-        print(f"a command peaked more than {args.allow_mib} MiB above the parse", file=sys.stderr)
+        print(f"a command peaked more than {ALLOW_MIB} MiB above the parse", file=sys.stderr)
     return 1 if failed else 0
 
 

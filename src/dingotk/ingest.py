@@ -46,8 +46,8 @@ from .terms import (
     XSD_GYEAR,
     XSD_GYEARMONTH,
     XSD_STRING,
-    expand_name,
     is_absolute_iri,
+    read_iri_token,
 )
 
 # separator for composite keys; never survives percent-encoding, so minting
@@ -172,10 +172,7 @@ class _MappingParser:
 
     def _resolve(self, token: str, line_no: int) -> IRI:
         try:
-            raw = token[1:-1] if token.startswith("<") else expand_name(token, self.prefixes)
-            if not is_absolute_iri(raw):
-                raise ValueError(f"IRI must be absolute: {raw!r}")
-            return IRI(raw)
+            return read_iri_token(token, self.prefixes)
         except ValueError as exc:
             raise MappingParseError(str(exc), line_no) from None
 

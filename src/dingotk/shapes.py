@@ -37,8 +37,7 @@ from .terms import (
     Literal,
     RDF_TYPE,
     Term,
-    expand_name,
-    is_absolute_iri,
+    read_iri_token,
     term_sort_key,
 )
 
@@ -199,10 +198,7 @@ class _ShapeFileParser:
         if kind != "iri" and (kind != "word" or ":" not in value):
             raise ShapeParseError(f"expected an IRI, got {value!r}", line)
         try:
-            raw = value[1:-1] if kind == "iri" else expand_name(value, self.prefixes)
-            if not is_absolute_iri(raw):
-                raise ValueError(f"IRI must be absolute: {raw!r}")
-            return IRI(raw)
+            return read_iri_token(value, self.prefixes)
         except ValueError as exc:
             raise ShapeParseError(str(exc), line) from None
 
@@ -284,6 +280,8 @@ class _ShapeFileParser:
         if kind in ("short", "card"):
             self._take()
             low, high = _parse_cardinality(kind, value, line)
+        elif value == "{":  # a "{" here opens a bound that is not "{m}", "{m,}" or "{m,n}"
+            raise ShapeParseError("malformed cardinality", line)
         else:
             low, high = 1, 1
         return TripleConstraint(predicate, low, high, check)
@@ -314,7 +312,7 @@ def _instances(data: Graph, schema: Optional[OntologySchema], class_iri: IRI) ->
             return schema.instances_of(data, class_iri)
         except UnknownClassError:
             pass
-    return {t.subject for t in data.match(None, RDF_TYPE, class_iri)}
+    return {t.subject for t in data.find(None, RDF_TYPE, class_iri)}
 
 
 def _has_class(data: Graph, schema: Optional[OntologySchema], node: Term, class_iri: IRI) -> bool:
@@ -322,7 +320,7 @@ def _has_class(data: Graph, schema: Optional[OntologySchema], node: Term, class_
         below = schema.subclasses_of(class_iri)
     else:
         below = frozenset()
-    return any(c == class_iri or c in below for c in data.objects(node, RDF_TYPE))
+    return any(c == class_iri or c in below for _, _, c in data.find(node, RDF_TYPE))
 
 
 def _check_value(
@@ -382,9 +380,16 @@ def validate(
             continue
         allowed = {c.predicate for c in shape.constraints} | {RDF_TYPE}
         for focus in _instances(data, schema, class_iri):
+            # the focus node's triples, read once: predicate -> its distinct objects
+            values_of: dict = {}
+            for _, predicate, value in data.find(focus):
+                if predicate in values_of:
+                    values_of[predicate].append(value)
+                else:
+                    values_of[predicate] = [value]
             for constraint in shape.constraints:
                 predicate = constraint.predicate
-                values = data.objects(focus, predicate)
+                values = values_of.get(predicate, ())
                 count = len(values)
                 if count < constraint.min_count:
                     message = f"requires at least {constraint.min_count} value(s), found {count}"
@@ -397,8 +402,7 @@ def validate(
                     if failure is not None:
                         failures.add((focus, shape_name, predicate, *failure))
             if shape.closed:
-                present = {t.predicate for t in data.match(focus, None, None)}
-                for extra in present - allowed:
+                for extra in values_of.keys() - allowed:
                     message = f"predicate <{extra.value}> is not allowed by closed shape"
                     failures.add((focus, shape_name, extra, "closed-shape-extra-predicate", message))
     violations = [Violation(*failure) for failure in failures]

@@ -91,6 +91,17 @@ def expand_name(name: str, prefixes: Mapping[str, str]) -> str:
         raise ValueError(f"undefined prefix {prefix + ':'!r}") from None
 
 
+def read_iri_token(token: str, prefixes: Mapping[str, str]) -> IRI:
+    """The IRI that a token ``<iri>`` or ``prefix:local`` names.
+
+    ValueError if the prefix is unbound or the IRI is not absolute or valid.
+    """
+    raw = token[1:-1] if token.startswith("<") else expand_name(token, prefixes)
+    if not is_absolute_iri(raw):
+        raise ValueError(f"IRI must be absolute: {raw!r}")
+    return IRI(raw)
+
+
 _CHAR_ESCAPES = {
     "\\": "\\\\",
     '"': '\\"',
@@ -238,9 +249,10 @@ class Graph:
 
     Only `_lookup`, `subject_groups` and the index builders read the index
     layout; every other member goes through `_lookup`. `len`, `in` and
-    pattern lookups read the indexes. `==` compares counts and prefix maps,
-    then tests each triple of one graph against the other's triple set.
-    `triples` and `hash` build a new frozenset, O(n) on every call.
+    pattern lookups read the indexes; `find` is `match` without the sort.
+    `==` compares counts and prefix maps, then tests each triple of one graph
+    against the other's triple set. `triples` and `hash` build a new
+    frozenset, O(n) on every call.
     """
 
     __slots__ = ("_prefixes", "_spo", "_pos", "_len")
@@ -317,7 +329,9 @@ class Graph:
         return self._len
 
     def __contains__(self, triple: object) -> bool:
-        if not isinstance(triple, tuple) or len(triple) != 3:
+        # a triple holds no None, so a pattern with a wildcard is not one and
+        # reads no index (which could build one)
+        if not isinstance(triple, tuple) or len(triple) != 3 or None in triple:
             return False
         return triple in self._lookup(triple[0], triple[1], None)
 
@@ -375,6 +389,18 @@ class Graph:
         """All triples matching the pattern; None positions are wildcards."""
         return sorted(self._lookup(subject, predicate, object), key=triple_sort_key)
 
+    def find(
+        self,
+        subject: Optional[Term] = None,
+        predicate: Optional[Term] = None,
+        object: Optional[Term] = None,
+    ) -> Iterator[Triple]:
+        """The triples of `match` in no particular order, without its sort.
+
+        For callers that put the result in a set or order it themselves.
+        """
+        return iter(self._lookup(subject, predicate, object))
+
     def subjects(self, predicate: Optional[Term] = None, object: Optional[Term] = None) -> list[Term]:
         """Distinct subjects of matching triples, canonically ordered."""
         return sorted({t[0] for t in self._lookup(None, predicate, object)}, key=term_sort_key)
@@ -398,10 +424,16 @@ class Graph:
         spo = self._spo
         for subject in sorted(spo, key=term_sort_key):
             by_p = spo[subject]
-            yield subject, [
-                (predicate, sorted([t[2] for t in by_p[predicate]], key=term_sort_key))
-                for predicate in sorted(by_p, key=predicate_sort_key)
-            ]
+            # one predicate or one object needs no sort, and most leaves hold one
+            predicates = sorted(by_p, key=predicate_sort_key) if len(by_p) > 1 else by_p
+            groups = []
+            for predicate in predicates:
+                leaf = by_p[predicate]
+                if len(leaf) == 1:
+                    groups.append((predicate, [leaf[0][2]]))
+                else:
+                    groups.append((predicate, sorted([t[2] for t in leaf], key=term_sort_key)))
+            yield subject, groups
 
     def nodes(self) -> set:
         """Every term appearing in subject or object position."""

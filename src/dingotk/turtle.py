@@ -99,12 +99,19 @@ def _long_string(q: str) -> str:
 
 
 # One alternative per terminal, each followed by the whitespace and comments
-# before the next token. Numbers come before punctuation and names, so ".5"
-# and "-1" are numbers.
+# before the next token. The commonest tokens come first. No other
+# alternative can match where a name starts with a letter, "_" (but not "_:"),
+# ":" or "%", nor where punctuation is not a "." before a digit, so these two
+# are tried before the rest. Numbers come before the names that start any
+# other way ("-", "\", a digit), so ".5" and "-1" are numbers. The last
+# alternative takes one character where no token starts, which the tokenizer
+# reports, so no search ever runs past a lexical error.
 _TOKEN_RE = re.compile(
     rf"""
     (?:
-        (?P<iriref><[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*>)
+        (?P<name>(?=[^\W\d]|[:%])(?!_:){_NAME})
+      | (?P<punct>[;,\[\]()]|\.(?![0-9]))
+      | (?P<iriref><[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*>)
       | (?P<long_string>{_long_string('"')}|{_long_string("'")})
       | (?P<string>{_short_string('"')}|{_short_string("'")})
       | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
@@ -112,9 +119,9 @@ _TOKEN_RE = re.compile(
       | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+)
       | (?P<decimal>[+-]?[0-9]*\.[0-9]+)
       | (?P<integer>[+-]?[0-9]+)
-      | (?P<punct>[.;,\[\]()])
       | (?P<blank>_:[\w%.-]*[\w%-])
-      | (?P<name>(?!_:){_NAME})
+      | (?P<other_name>(?!_:){_NAME})
+      | (?P<error>(?s:.))
     )
     {_SKIP}
     """,
@@ -150,15 +157,11 @@ def _tokenize(text: str) -> Iterator[tuple]:
     A lexical error is raised when the reader reaches its token, so errors
     in earlier tokens are found first.
     """
-    match = _TOKEN_RE.match
-    pos = _SKIP_RE.match(text).end()
-    while pos < len(text):
-        m = match(text, pos)
-        if m is None:
-            raise _diagnose(text, pos)
+    for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end()):
         group = m.lastgroup
         raw = m[group]
-        if group == "name":
+        pos = m.start()
+        if group == "name" or group == "other_name":
             # of the characters that start names, only "-" and non-ASCII
             # ones can also start numbers
             if (raw[0] == "-" or raw[0] > "\x7f") and _starts_number(text, pos):
@@ -194,11 +197,13 @@ def _tokenize(text: str) -> Iterator[tuple]:
             kind, value = "blank", raw[2:]
         elif group == "datatype":
             kind, value = "^^", None
+        elif group == "error":
+            raise _diagnose(text, pos)
         else:
             kind, value = group, raw
         yield kind, value, pos
-        pos = m.end()
-    yield "eof", None, pos
+    # the last token took the whitespace and comments after it
+    yield "eof", None, len(text)
 
 
 def _error_at(
@@ -301,6 +306,8 @@ class _Parser:
 
     Every check on a token runs before the parser moves past it, so the
     first error in document order is the one raised, grammatical or lexical.
+    Moving past a token is `self.tok = self._next_token()`, written out where
+    it happens; it never runs on "eof", whose kind each caller checks first.
     """
 
     def __init__(self, text: str, base: Optional[str]) -> None:
@@ -320,15 +327,11 @@ class _Parser:
 
     # -- token plumbing ----------------------------------------------------
 
-    def _advance(self) -> None:
-        # never called on "eof": each caller has checked the kind first
-        self.tok = self._next_token()
-
     def _expect(self, kind: str, what: str) -> tuple:
         tok = self.tok
         if tok[0] != kind:
             raise self._error(f"expected {what}", tok)
-        self._advance()
+        self.tok = self._next_token()
         return tok
 
     def _error(self, message: str, tok: tuple, cls: type = TurtleParseError) -> TurtleParseError:
@@ -397,16 +400,16 @@ class _Parser:
             if kind == "eof":
                 return
             if kind == "at_prefix":
-                self._advance()
+                self.tok = self._next_token()
                 self._parse_prefix_decl(dotted=True)
             elif kind == "at_base":
-                self._advance()
+                self.tok = self._next_token()
                 self._parse_base_decl(dotted=True)
             elif kind == "sparql_prefix":
-                self._advance()
+                self.tok = self._next_token()
                 self._parse_prefix_decl(dotted=False)
             elif kind == "sparql_base":
-                self._advance()
+                self.tok = self._next_token()
                 self._parse_base_decl(dotted=False)
             else:
                 self._parse_triples()
@@ -419,7 +422,7 @@ class _Parser:
         prefix, _, local = name[1].partition(":")
         if local:
             raise self._error("prefix declaration must end with ':'", name)
-        self._advance()
+        self.tok = self._next_token()
         self.prefixes[prefix] = self._take_iriref("namespace IRI").value
         if dotted:
             self._expect(".", "'.' after @prefix")
@@ -434,7 +437,7 @@ class _Parser:
         if tok[0] != "iriref":
             raise self._error(f"expected {what}", tok)
         iri = self._resolve_iri(tok[1], tok)
-        self._advance()
+        self.tok = self._next_token()
         return iri
 
     def _parse_triples(self) -> None:
@@ -453,19 +456,19 @@ class _Parser:
             # read one subject or object, or open a frame for it
             kind = self.tok[0]
             if kind == "[":
-                self._advance()
+                self.tok = self._next_token()
                 if self.tok[0] != "]":
                     stack.append([self._fresh_blank(), self._parse_verb(), True])
                     continue
-                self._advance()
+                self.tok = self._next_token()
                 obj: Term = self._fresh_blank()
             elif kind == "(":
-                self._advance()
+                self.tok = self._next_token()
                 if self.tok[0] != ")":
                     head = self._fresh_blank()
                     stack.append([head, head])
                     continue
-                self._advance()
+                self.tok = self._next_token()
                 obj = RDF_NIL
             elif stack or kind in ("iriref", "pname", "blank"):
                 obj = self._parse_term()
@@ -481,17 +484,17 @@ class _Parser:
                         frame[1] = self._fresh_blank()
                         triples.append(Triple(cell, RDF_REST, frame[1]))
                         break
-                    self._advance()
+                    self.tok = self._next_token()
                     triples.append(Triple(cell, RDF_REST, RDF_NIL))
                 else:
                     triples.append(Triple(frame[0], frame[1], obj))
                     kind = self.tok[0]
                     if kind == ",":
-                        self._advance()
+                        self.tok = self._next_token()
                         break
                     if kind == ";":
                         while self.tok[0] == ";":
-                            self._advance()
+                            self.tok = self._next_token()
                         if self.tok[0] not in (".", "]"):  # else a trailing ';'
                             frame[1] = self._parse_verb()
                             break
@@ -517,7 +520,7 @@ class _Parser:
             verb = self._expand_pname(tok)
         else:
             raise self._error("expected predicate", tok)
-        self._advance()
+        self.tok = self._next_token()
         return verb
 
     def _parse_term(self) -> Term:
@@ -538,17 +541,17 @@ class _Parser:
             term = self._literal(tok[1], XSD_BOOLEAN, None, tok)
         else:
             raise self._error("expected object", tok)
-        self._advance()
+        self.tok = self._next_token()
         return term
 
     def _parse_literal_tail(self, string_tok: tuple) -> Literal:
         lexical = string_tok[1]
-        self._advance()
+        self.tok = self._next_token()
         tok = self.tok
         if tok[0] == "langtag":
             literal = self._literal(lexical, RDF_LANG_STRING, tok[1], tok)
         elif tok[0] == "^^":
-            self._advance()
+            self.tok = self._next_token()
             tok = self.tok
             if tok[0] == "iriref":
                 datatype = self._resolve_iri(tok[1], tok)
@@ -559,7 +562,7 @@ class _Parser:
             literal = self._literal(lexical, datatype.value, None, tok)
         else:
             return self._literal(lexical, XSD_STRING, None, string_tok)
-        self._advance()
+        self.tok = self._next_token()
         return literal
 
 
@@ -650,12 +653,15 @@ def turtle_chunks(graph: Graph) -> Iterator[str]:
         yield f"@prefix {p}: <{ns}> .\n"
     if prefixes and graph:
         yield "\n"
+    # each predicate's text and the space after it, rendered once
+    verbs: dict[IRI, str] = {RDF_TYPE: "a "}
     for subject, groups in graph.subject_groups():
         parts = []
         for predicate, objects in groups:
-            rendered_pred = "a" if predicate == RDF_TYPE else render(predicate)
-            rendered_objs = ", ".join(render(o) for o in objects)
-            parts.append(f"{rendered_pred} {rendered_objs}")
+            verb = verbs.get(predicate)
+            if verb is None:
+                verb = verbs[predicate] = render(predicate) + " "
+            parts.append(verb + ", ".join(map(render, objects)))
         yield f"{render(subject)} " + " ;\n    ".join(parts) + " .\n"
 
 

@@ -164,8 +164,11 @@ def test_unresolvable_iri_in_shape_file(text, line, message):
         ("shape S {\n < }", 2, "unexpected character '<'"),
         ("shape S {\n @1 }", 2, "unexpected character '@'"),
         # cardinality bounds are ASCII digits; "\u0662" is an Arabic-Indic two
-        (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, "expected an IRI, got '{'"),
-        (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, "expected an IRI, got '{'"),
+        (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, "malformed cardinality"),
+        (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, "malformed cardinality"),
+        (f"shape S {{\n <{EX}p> any {{x}} }}", 2, "malformed cardinality"),
+        (f"shape S {{ <{EX}p> any\n\n {{1,x}} }}", 3, "malformed cardinality"),
+        (f"shape S {{ <{EX}p> iri {{\n 1 }} ; <{EX}q> any {{ }} }}", 2, "malformed cardinality"),
     ],
 )
 def test_shape_file_syntax_errors_name_their_line(text, line, message):

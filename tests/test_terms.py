@@ -27,6 +27,7 @@ from dingotk.terms import (
     XSD_STRING,
     expand_name,
     gc_paused,
+    read_iri_token,
     term_sort_key,
     triple_sort_key,
 )
@@ -58,6 +59,21 @@ def test_expand_name_splits_at_the_first_colon():
     assert expand_name(":", prefixes) == "urn:x:"
     with pytest.raises(ValueError, match=r"^undefined prefix 'nope:'$"):
         expand_name("nope:a", prefixes)
+
+
+def test_read_iri_token_reads_bracketed_and_prefixed_iris():
+    prefixes = {"ex": EX, "": "urn:x:"}
+    assert read_iri_token(f"<{EX}a>", prefixes) == IRI(EX + "a")
+    assert read_iri_token("ex:a:b", prefixes) == IRI(EX + "a:b")
+    assert read_iri_token(":", prefixes) == IRI("urn:x:")
+    for token, message in [
+        ("nope:a", "undefined prefix 'nope:'"),
+        ("<rel/>", "IRI must be absolute: 'rel/'"),
+        (f"<{EX}a b>", f"IRI contains forbidden character ' ': '{EX}a b'"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            read_iri_token(token, prefixes)
+        assert str(err.value) == message
 
 
 def test_blank_label_rules():
@@ -459,6 +475,29 @@ def test_the_predicate_index_is_built_one_predicate_at_a_time():
     assert copy.match(None, q, None) == [Triple(s, q, o)]
     assert set(copy._pos) == {p, absent, q} and set(g._pos) == {p, absent}
     assert copy == g
+
+
+def test_membership_of_a_pattern_with_a_wildcard_is_false_and_builds_no_index():
+    t = Triple(IRI(EX + "s"), IRI(EX + "p"), IRI(EX + "o"))
+    g = Graph([t, Triple(t.object, t.predicate, t.subject)])
+    for keep in itertools.product((True, False), repeat=3):
+        pattern = tuple(term if k else None for term, k in zip(t, keep))
+        assert (pattern in g) is all(keep), pattern
+    assert g._pos is None
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_find_returns_the_triples_of_match_for_every_pattern(rng):
+    g = random_graph(rng, max_triples=60, max_blanks=6)
+    triples = [*g.triples, Triple(ABSENT, ABSENT, ABSENT)]
+    for t in rng.sample(triples, min(len(triples), 8)):
+        for keep in itertools.product((True, False), repeat=3):
+            pattern = tuple(term if k else None for term, k in zip(t, keep))
+            found = list(g.find(*pattern))
+            assert len(found) == len(set(found)), pattern
+            assert set(found) == set(g.match(*pattern)), pattern
+            assert set(found) == set(scan_matching(g, *pattern)), pattern
 
 
 def test_threads_that_race_to_build_the_predicate_index_all_read_it_right():

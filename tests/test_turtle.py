@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -26,6 +27,7 @@ from dingotk.turtle import (
     RelativeIriError,
     TurtleParseError,
     UndefinedPrefixError,
+    _tokenize,
     parse_turtle,
     serialize_turtle,
     term_renderer,
@@ -33,6 +35,8 @@ from dingotk.turtle import (
 )
 from dingotk.isomorphism import graph_isomorphic
 
+from conftest import embedded
+from lexer_reference import reference_tokenize
 from support import random_graph
 
 DINGO = "https://w3id.org/dingo#"
@@ -449,6 +453,56 @@ def test_parser_totality_fuzz():
             parse_turtle(document)
         except TurtleParseError as exc:
             assert exc.line >= 1 and exc.column >= 1
+
+
+def _lexed(tokenize, text: str) -> tuple:
+    """The tokens read before the end or the first error, and that error."""
+    tokens = []
+    try:
+        for token in tokenize(text):
+            tokens.append(token)
+    except TurtleParseError as exc:
+        return tokens, (type(exc), str(exc))
+    return tokens, None
+
+
+# pieces that start or end tokens in more than one way: names that start
+# with "-", "_", ":", "%", "\" or a non-ASCII letter or digit, numbers and
+# their near misses, quote runs, and a token of every other kind
+LEXER_PIECES = [
+    "-", "_", ":", "%", "\\", "\\-", "\\q", "%20", "é", "漢", "١", "٣.", "²", ".5", "-.",
+    "+", "1", "1e5", "0.", "e", ".", ";", ",", "[", "]", "(", ")", '""""', '"', "'''", "'", "a",
+    "ex", "x:", "_:", "b", "true", "PREFIX", "base", "@", "@en", "@prefix", "^^", "^", "<", ">",
+    "<http://x/>", "#c\n", " ", "\n", "\r", "\t", "{", "~",
+]
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.sampled_from(LEXER_PIECES), max_size=24).map("".join))
+def test_tokenizer_reads_what_the_reference_order_reads(text):
+    # most texts end at an early error, so each suffix is read too, and every
+    # position starts a token
+    for start in range(len(text)):
+        assert _lexed(_tokenize, text[start:]) == _lexed(reference_tokenize, text[start:])
+
+
+@pytest.mark.parametrize(
+    "text",
+    [embedded("dingo.ttl"), embedded("example_instances.ttl"), *(row[0] for row in LEXER_ERRORS)],
+)
+def test_tokenizer_reads_the_bundled_files_and_error_rows_as_the_reference_does(text):
+    assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text)
+
+
+def test_a_lexical_error_is_found_without_searching_past_it():
+    # each "<" opens an IRI that reads to the end and never closes, so a
+    # scan that looked past the first one for the next token would take
+    # quadratic time
+    document = "<http://x/s> <http://x/p> " + "<" * 100_000
+    start = time.process_time()
+    with pytest.raises(TurtleParseError, match=f"^line 1, column {len(document) + 1}: unterminated IRI$"):
+        parse_turtle(document)
+    assert time.process_time() - start < 1.0
 
 
 # ---------------------------------------------------------------------------

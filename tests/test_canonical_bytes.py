@@ -21,8 +21,8 @@ from dingotk.cli import run
 CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 SEED, TRIPLES = 17, 20_000
 
-# sha1 of each output, computed before the lexer, index and writer changes
-# of the same commit as this test
+# sha1 of each output, computed with the lexer, validator and writer that came
+# before the ones this test was added with
 CONVERT_SHA1 = "50d401e866f63c9717aa33bdb3ee196db2b696fc"
 VALIDATE_JSON_SHA1 = "0ddbf3e92331a0072888d2e46a17c409ed2b4ec7"
 

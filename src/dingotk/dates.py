@@ -1,18 +1,19 @@
 """Partial ISO-8601 dates as found in funding data.
 
-Accepts year, year-month and full-date lexical forms (a trailing time part
-is tolerated and ignored). Two dates compare at the coarser of their two
-precisions, so 2019 vs 2019-03 is a tie.
+Reads the year, year-month and full-date form of `terms.LEXICAL_FORMS`
+exactly: no surrounding space or line break. `parse_partial_date` also
+tolerates and ignores a time part after a full date. Two dates compare at
+the coarser of their two precisions, so 2019 vs 2019-03 is a tie. Year 0000
+is a year like any other, 1 BCE as in XSD 1.1, and a leap year.
 """
 
 from __future__ import annotations
 
 import calendar
-import re
 from dataclasses import dataclass
 from typing import Optional
 
-_DATE_RE = re.compile(r"^([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2})(?:T.*)?)?)?$")
+from .terms import LEXICAL_FORMS, XSD_DATE
 
 
 @dataclass(frozen=True)
@@ -35,19 +36,34 @@ class PartialDate:
         return parts[:precision]
 
 
-def parse_partial_date(lexical: str) -> Optional[PartialDate]:
-    """PartialDate for a valid lexical form, None otherwise."""
-    match = _DATE_RE.match(lexical.strip())
+def read_partial_date(lexical: str) -> PartialDate:
+    """The PartialDate that a YYYY[-MM[-DD]] lexical form names.
+
+    ValueError, naming the lexical form, if it is not one or its month or
+    day is out of range.
+    """
+    match = LEXICAL_FORMS[XSD_DATE].fullmatch(lexical)
     if not match:
-        return None
-    year = int(match.group(1))
-    month = int(match.group(2)) if match.group(2) else None
-    day = int(match.group(3)) if match.group(3) else None
+        raise ValueError(f"not an ISO date: {lexical!r}")
+    year, month, day = (None if group is None else int(group) for group in match.groups())
     if month is not None and not 1 <= month <= 12:
-        return None
+        raise ValueError(f"month out of range: {lexical!r}")
     if day is not None and not 1 <= day <= calendar.monthrange(year, month)[1]:
-        return None
+        raise ValueError(f"day out of range: {lexical!r}")
     return PartialDate(year, month, day)
+
+
+def parse_partial_date(lexical: str) -> Optional[PartialDate]:
+    """PartialDate for a valid lexical form, None otherwise.
+
+    A full date may go on with "T" and a time part, which is not read.
+    """
+    date, sep, _ = lexical.partition("T")
+    try:
+        parsed = read_partial_date(date)
+    except ValueError:
+        return None
+    return None if sep and parsed.day is None else parsed
 
 
 def compare_partial_dates(a: PartialDate, b: PartialDate) -> int:

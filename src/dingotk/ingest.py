@@ -33,10 +33,12 @@ from functools import cached_property
 from typing import Iterable, Optional
 from urllib.parse import quote
 
+from .dates import read_partial_date
 from .terms import (
     DingoError,
     Graph,
     IRI,
+    LEXICAL_FORMS,
     Literal,
     RDF_LANG_STRING,
     RDF_TYPE,
@@ -45,6 +47,7 @@ from .terms import (
     XSD_DECIMAL,
     XSD_GYEAR,
     XSD_GYEARMONTH,
+    XSD_INTEGER,
     XSD_STRING,
     is_absolute_iri,
     read_iri_token,
@@ -54,9 +57,10 @@ from .terms import (
 # stays injective across column tuples
 _KEY_SEPARATOR = "\x1f"
 
-# checked with fullmatch: "$" also matches before a final newline
-_ISO_DATE_RE = re.compile(r"([0-9]{4})(-[0-9]{2})?(-[0-9]{2})?")
-_DECIMAL_RE = re.compile(r"[+-]?([0-9]+(\.[0-9]+)?|\.[0-9]+)")
+# the datatype of an ISO date cell of each precision: year, year-month, full date
+_DATE_DATATYPES = (XSD_GYEAR, XSD_GYEARMONTH, XSD_DATE)
+# a decimal cell is written as an integer or a decimal
+_DECIMAL_FORMS = (LEXICAL_FORMS[XSD_INTEGER], LEXICAL_FORMS[XSD_DECIMAL])
 
 
 class MappingParseError(DingoError):
@@ -149,14 +153,15 @@ def mint_iri(base: str, entity_class: IRI, key: str) -> IRI:
 # ---------------------------------------------------------------------------
 
 _IRI_OR_PNAME = r"(?:<[^<>\s]+>|[A-Za-z_][\w.-]*:[\w.%-]*)"
-_PREFIX_LINE = re.compile(r"^prefix\s+([A-Za-z_][\w.-]*):\s+<([^<>\s]+)>$")
-_BASE_LINE = re.compile(r"^base\s+<([^<>\s]+)>$")
-_COLUMNS_LINE = re.compile(r"^columns\s+(.+)$")
-_ENTITY_LINE = re.compile(r"^entity\s+([A-Za-z_][\w-]*)\s+(" + _IRI_OR_PNAME + r")\s*\{$")
-_KEY_LINE = re.compile(r"^key\s+(.+)$")
+# each matched with fullmatch against one stripped line
+_PREFIX_LINE = re.compile(r"prefix\s+([A-Za-z_][\w.-]*):\s+<([^<>\s]+)>")
+_BASE_LINE = re.compile(r"base\s+<([^<>\s]+)>")
+_COLUMNS_LINE = re.compile(r"columns\s+(.+)")
+_ENTITY_LINE = re.compile(r"entity\s+([A-Za-z_][\w-]*)\s+(" + _IRI_OR_PNAME + r")\s*\{")
+_KEY_LINE = re.compile(r"key\s+(.+)")
 _MAP_LINE = re.compile(
-    r"^map\s+([\w.-]+)\s*->\s*(" + _IRI_OR_PNAME + r")\s*:\s*"
-    r"(ref\s+[A-Za-z_][\w-]*|\S+)(?:\s+format\s+(.+))?$"
+    r"map\s+([\w.-]+)\s*->\s*(" + _IRI_OR_PNAME + r")\s*:\s*"
+    r"(ref\s+[A-Za-z_][\w-]*|\S+)(?:\s+format\s+(.+))?"
 )
 
 
@@ -189,16 +194,16 @@ class _MappingParser:
             i += 1
             if not line or line.startswith("#"):
                 continue
-            if match := _PREFIX_LINE.match(line):
+            if match := _PREFIX_LINE.fullmatch(line):
                 self.prefixes[match.group(1)] = match.group(2)
-            elif match := _BASE_LINE.match(line):
+            elif match := _BASE_LINE.fullmatch(line):
                 self.base = match.group(1)
                 if not is_absolute_iri(self.base):
                     raise MappingParseError(f"base must be an absolute IRI: {self.base!r}", line_no)
                 self._resolve(f"<{self.base}>", line_no)  # no forbidden character
-            elif match := _COLUMNS_LINE.match(line):
+            elif match := _COLUMNS_LINE.fullmatch(line):
                 self.columns.extend(c.strip() for c in match.group(1).split(",") if c.strip())
-            elif match := _ENTITY_LINE.match(line):
+            elif match := _ENTITY_LINE.fullmatch(line):
                 i = self._parse_entity(match, i)
             else:
                 raise MappingParseError(f"cannot parse: {line!r}", line_no)
@@ -237,13 +242,13 @@ class _MappingParser:
                 continue
             if line == "}":
                 break
-            if match := _KEY_LINE.match(line):
+            if match := _KEY_LINE.fullmatch(line):
                 key_columns.extend(
                     self._check_column(c.strip(), line_no)
                     for c in match.group(1).split(",")
                     if c.strip()
                 )
-            elif match := _MAP_LINE.match(line):
+            elif match := _MAP_LINE.fullmatch(line):
                 rule = self._parse_map(match, line_no)
                 rules.append(rule)
                 if rule.value_kind == "ref":
@@ -290,17 +295,7 @@ def _convert_date(raw: str, fmt: Optional[str]) -> Literal:
     if fmt:
         parsed = datetime.strptime(raw, fmt)  # ValueError propagates to caller
         return Literal(parsed.date().isoformat(), XSD_DATE)
-    match = _ISO_DATE_RE.fullmatch(raw)
-    if not match:
-        raise ValueError(f"not an ISO date: {raw!r}")
-    if match.group(3):
-        datetime.strptime(raw, "%Y-%m-%d")  # validates month/day ranges
-        return Literal(raw, XSD_DATE)
-    if match.group(2):
-        if not 1 <= int(match.group(2)[1:]) <= 12:
-            raise ValueError(f"month out of range: {raw!r}")
-        return Literal(raw, XSD_GYEARMONTH)
-    return Literal(raw, XSD_GYEAR)
+    return Literal(raw, _DATE_DATATYPES[read_partial_date(raw).precision - 1])
 
 
 def ingest_table(rows: Iterable[dict], mapping: MappingSpec) -> tuple:
@@ -367,7 +362,7 @@ def _convert_cell(raw: str, rule: PropertyRule, mapping: MappingSpec, mint):
     if rule.value_kind == "date":
         return _convert_date(raw, rule.date_format)
     if rule.value_kind == "decimal":
-        if not _DECIMAL_RE.fullmatch(raw):
+        if not any(form.fullmatch(raw) for form in _DECIMAL_FORMS):
             raise ValueError(f"not a decimal: {raw!r}")
         return Literal(raw, XSD_DECIMAL)
     # ref: the cell is the referenced entity's key

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from typing import Optional
 
@@ -58,6 +59,11 @@ class ShapeRefError(DingoError):
 class ValueCheck:
     kind: str  # any | iri | datatype | class | shape
     argument: Optional[str] = None  # datatype IRI, class IRI or shape name
+
+    @cached_property
+    def class_iri(self) -> IRI:
+        """The argument of a class check as an IRI, built on first use and kept."""
+        return IRI(self.argument)
 
 
 ANY = ValueCheck("any")
@@ -229,7 +235,7 @@ class _ShapeFileParser:
 
     def _parse_shape(self, line: int) -> None:
         kind, name, nline = self._take()
-        if kind != "word" or not re.match(r"^[A-Za-z_][A-Za-z0-9_-]*$", name):
+        if kind != "word" or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", name):
             raise ShapeParseError(f"invalid shape name {name!r}", nline)
         if name in self.shapes:
             raise ShapeParseError(f"duplicate shape name {name!r}", nline)
@@ -344,7 +350,7 @@ def _check_value(
             return ("wrong-datatype", f"value {value!r} does not have datatype <{check.argument}>")
         return None
     if check.kind == "class":
-        if not _has_class(data, schema, value, IRI(check.argument)):
+        if not _has_class(data, schema, value, check.class_iri):
             return ("wrong-class", f"value {value!r} is not an instance of <{check.argument}>")
         return None
     # shape reference: shallow semantics, value must carry a target class of

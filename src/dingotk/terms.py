@@ -37,6 +37,21 @@ XSD_GYEARMONTH = XSD_NS + "gYearMonth"
 XSD_ANYURI = XSD_NS + "anyURI"
 RDF_LANG_STRING = RDF_NS + "langString"
 
+# The one pattern of each XSD lexical form (XSD 1.1 Part 2) that the toolkit
+# reads or writes, in the digits 0-9 only. Match each with `fullmatch`: "$"
+# also matches before a final newline. The number forms are Turtle 1.1's
+# INTEGER, DECIMAL and DOUBLE (productions [19]-[21]); with the boolean form
+# they are the literals Turtle writes bare. The XSD_DATE entry is the
+# YYYY[-MM[-DD]] date of funding data, an xsd:gYear, xsd:gYearMonth or
+# xsd:date by its precision, with the year, month and day as its groups.
+LEXICAL_FORMS = {
+    XSD_INTEGER: re.compile(r"[+-]?[0-9]+"),
+    XSD_DECIMAL: re.compile(r"[+-]?[0-9]*\.[0-9]+"),
+    XSD_DOUBLE: re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+"),
+    XSD_BOOLEAN: re.compile(r"true|false"),
+    XSD_DATE: re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?"),
+}
+
 
 class DingoError(Exception):
     """Base class for all toolkit errors."""
@@ -72,10 +87,11 @@ def gc_paused() -> Iterator[None]:
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 # characters that cannot appear inside an IRIREF and would break round-tripping
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
-_BLANK_LABEL_RE = re.compile(r"^[A-Za-z0-9_][A-Za-z0-9_-]*$")
-_LANG_TAG_RE = re.compile(r"^[A-Za-z]+(-[A-Za-z0-9]+)*$")
+# these three are matched with fullmatch, so no label, tag or prefix ends in a newline
+_BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
+_LANG_TAG_RE = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*")
 # empty string is the default prefix; dots allowed inside but not at the edges
-_PREFIX_RE = re.compile(r"^$|^[A-Za-z_][A-Za-z0-9_-]*(\.[A-Za-z0-9_-]+)*$")
+_PREFIX_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*(\.[A-Za-z0-9_-]+)*)?")
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -149,7 +165,7 @@ class BlankNode(namedtuple("BlankNode", "label")):
     __slots__ = ()
 
     def __new__(cls, label: str) -> "BlankNode":
-        if not _BLANK_LABEL_RE.match(label):
+        if not _BLANK_LABEL_RE.fullmatch(label):
             raise ValueError(f"invalid blank node label: {label!r}")
         return tuple.__new__(cls, (label,))
 
@@ -162,7 +178,7 @@ class Literal(namedtuple("Literal", "lexical datatype language")):
 
     def __new__(cls, lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> "Literal":
         if language is not None:
-            if not _LANG_TAG_RE.match(language):
+            if not _LANG_TAG_RE.fullmatch(language):
                 raise ValueError(f"invalid language tag: {language!r}")
             if datatype != RDF_LANG_STRING:
                 raise ValueError("language-tagged literal must have the rdf:langString datatype")
@@ -227,7 +243,7 @@ def triple_sort_key(triple: Triple) -> tuple:
 def _checked_prefixes(prefixes: Optional[Mapping[str, str]]) -> dict:
     checked = dict(prefixes) if prefixes else {}
     for prefix, namespace in checked.items():
-        if not _PREFIX_RE.match(prefix):
+        if not _PREFIX_RE.fullmatch(prefix):
             raise ValueError(f"invalid prefix name: {prefix!r}")
         if not is_absolute_iri(namespace) or _IRI_FORBIDDEN.search(namespace):
             raise ValueError(f"prefix {prefix!r} maps to an invalid namespace: {namespace!r}")

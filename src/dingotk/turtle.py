@@ -22,6 +22,7 @@ from .terms import (
     DingoError,
     Graph,
     IRI,
+    LEXICAL_FORMS,
     Literal,
     RDF_FIRST,
     RDF_LANG_STRING,
@@ -116,9 +117,9 @@ _TOKEN_RE = re.compile(
       | (?P<string>{_short_string('"')}|{_short_string("'")})
       | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
       | (?P<datatype>\^\^)
-      | (?P<double>[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+)
-      | (?P<decimal>[+-]?[0-9]*\.[0-9]+)
-      | (?P<integer>[+-]?[0-9]+)
+      | (?P<double>{LEXICAL_FORMS[XSD_DOUBLE].pattern})
+      | (?P<decimal>{LEXICAL_FORMS[XSD_DECIMAL].pattern})
+      | (?P<integer>{LEXICAL_FORMS[XSD_INTEGER].pattern})
       | (?P<blank>_:[\w%.-]*[\w%-])
       | (?P<other_name>(?!_:){_NAME})
       | (?P<error>(?s:.))
@@ -298,7 +299,15 @@ def _escape_error(text: str, backslash: int, in_iri: bool) -> Optional[TurtlePar
     return None
 
 
-_NUMBER_DATATYPES = {"integer": XSD_INTEGER, "decimal": XSD_DECIMAL, "double": XSD_DOUBLE}
+# the literals Turtle writes bare: the datatype of each token kind, and the
+# lexical form of each datatype
+_SHORTHAND_DATATYPES = {
+    "integer": XSD_INTEGER,
+    "decimal": XSD_DECIMAL,
+    "double": XSD_DOUBLE,
+    "boolean": XSD_BOOLEAN,
+}
+_SHORTHAND_FORMS = {dt: LEXICAL_FORMS[dt] for dt in _SHORTHAND_DATATYPES.values()}
 
 
 class _Parser:
@@ -535,10 +544,8 @@ class _Parser:
             term = self._labeled_blank(tok[1])
         elif kind == "string":
             return self._parse_literal_tail(tok)
-        elif kind in _NUMBER_DATATYPES:
-            term = self._literal(tok[1], _NUMBER_DATATYPES[kind], None, tok)
-        elif kind == "boolean":
-            term = self._literal(tok[1], XSD_BOOLEAN, None, tok)
+        elif kind in _SHORTHAND_DATATYPES:
+            term = self._literal(tok[1], _SHORTHAND_DATATYPES[kind], None, tok)
         else:
             raise self._error("expected object", tok)
         self.tok = self._next_token()
@@ -583,11 +590,7 @@ def parse_turtle(document: str, base: Optional[str] = None) -> Graph:
 # canonical serialization
 # ---------------------------------------------------------------------------
 
-# checked with fullmatch: "$" also matches before a final newline
-_INTEGER_LEX = re.compile(r"[+-]?[0-9]+")
-_DECIMAL_LEX = re.compile(r"[+-]?[0-9]*\.[0-9]+")
-_DOUBLE_LEX = re.compile(r"[+-]?(?:[0-9]+\.[0-9]*|\.[0-9]+|[0-9]+)[eE][+-]?[0-9]+")
-_PN_LOCAL_OK = re.compile(r"^$|^[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?$")
+_PN_LOCAL_OK = re.compile(r"(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?")
 
 def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
     """A function that writes a term as Turtle, abbreviating IRIs with prefixes.
@@ -607,7 +610,7 @@ def term_renderer(prefixes: Mapping[str, str]) -> Callable[[Term], str]:
         if text is None:
             text = f"<{value}>"
             for prefix, namespace in table:
-                if value.startswith(namespace) and _PN_LOCAL_OK.match(value[len(namespace) :]):
+                if value.startswith(namespace) and _PN_LOCAL_OK.fullmatch(value[len(namespace) :]):
                     text = f"{prefix}:{value[len(namespace) :]}"
                     break
             rendered[value] = text
@@ -629,13 +632,8 @@ def _render_literal(literal: Literal, render_iri: Callable[[str], str]) -> str:
     dt = literal.datatype
     if dt == XSD_STRING:
         return f'"{escape_string(literal.lexical)}"'
-    if dt == XSD_INTEGER and _INTEGER_LEX.fullmatch(literal.lexical):
-        return literal.lexical
-    if dt == XSD_DECIMAL and _DECIMAL_LEX.fullmatch(literal.lexical):
-        return literal.lexical
-    if dt == XSD_DOUBLE and _DOUBLE_LEX.fullmatch(literal.lexical):
-        return literal.lexical
-    if dt == XSD_BOOLEAN and literal.lexical in ("true", "false"):
+    form = _SHORTHAND_FORMS.get(dt)
+    if form is not None and form.fullmatch(literal.lexical):
         return literal.lexical
     return f'"{escape_string(literal.lexical)}"^^{render_iri(dt)}'
 

@@ -1,4 +1,6 @@
-from dingotk.dates import PartialDate, compare_partial_dates, parse_partial_date
+import pytest
+
+from dingotk.dates import PartialDate, compare_partial_dates, parse_partial_date, read_partial_date
 
 
 def test_parse_precisions():
@@ -15,6 +17,41 @@ def test_parse_rejects_garbage():
     # digits are Unicode decimals but not XSD ones
     for bad in ["\u0662\u0660\u0661\u0669-\u0660\u0665", "\u0662\u0660\u0661\u0669", "2019-\uff10\uff15"]:
         assert parse_partial_date(bad) is None
+
+
+def test_parse_reads_no_surrounding_space_or_line_break():
+    for bad in [" 2019", "2019\n", "2019-03\r\n", "\t2019-03-31", "2019-03 "]:
+        assert parse_partial_date(bad) is None
+
+
+def test_a_time_part_follows_a_full_date_only():
+    assert parse_partial_date("2019-03-31T") == PartialDate(2019, 3, 31)
+    for bad in ["2019T12:00", "2019-03T12:00", "T12:00", "2019-02-30T00:00"]:
+        assert parse_partial_date(bad) is None
+
+
+@pytest.mark.parametrize(
+    "lexical, reason",
+    [
+        ("2019-13-01", "month out of range: '2019-13-01'"),
+        ("2019-00", "month out of range: '2019-00'"),
+        ("2019-02-30", "day out of range: '2019-02-30'"),
+        ("2019-04-00", "day out of range: '2019-04-00'"),
+        ("2019-03-31T12:00", "not an ISO date: '2019-03-31T12:00'"),
+        ("2019\n", "not an ISO date: '2019\\n'"),
+    ],
+)
+def test_read_names_the_fault(lexical, reason):
+    with pytest.raises(ValueError) as err:
+        read_partial_date(lexical)
+    assert str(err.value) == reason
+
+
+def test_year_zero_is_a_leap_year_at_every_precision():
+    assert parse_partial_date("0000") == PartialDate(0)
+    assert parse_partial_date("0000-05") == PartialDate(0, 5)
+    assert read_partial_date("0000-01-01") == PartialDate(0, 1, 1)
+    assert read_partial_date("0000-02-29") == PartialDate(0, 2, 29)
 
 
 def test_comparison_at_coarser_precision():

@@ -1,7 +1,7 @@
 """Import boundaries: `import dingotk` loads no submodule, each CLI command
 loads only the modules it runs, no module reaches into a sibling's private
-names or imports a name it never uses, and only `terms` reads a graph's
-index layout.
+names or imports a name it never uses, only `terms` reads a graph's index
+layout, and no regex literal ends in a "$" anchor.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
@@ -67,7 +67,7 @@ EXAMPLE = str(DATA / "example_instances.ttl")
         pytest.param(["validate", EXAMPLE], {"dingotk.shapes"}, id="validate"),
         pytest.param(
             ["ingest", str(DATA / "example_grants.csv"), "--mapping", str(DATA / "example_grants.mapping")],
-            {"dingotk.ingest"},
+            {"dingotk.ingest", "dingotk.dates"},
             id="ingest",
         ),
         pytest.param(
@@ -242,3 +242,60 @@ def test_the_unused_import_check_sees_every_import_form():
 @pytest.mark.parametrize("path", sorted((SRC / "dingotk").glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def dollar_anchored_patterns(source: str) -> list:
+    """Pattern literals given to an `re` function that end in an unescaped "$".
+
+    "$" also matches before a final newline, so a whole-string check is
+    spelled `fullmatch` with no anchors. The literal read is the pattern
+    argument itself, the last operand of a `+` concatenation, or the last
+    piece of an f-string.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+            and node.args
+        ):
+            continue
+        tail = node.args[0]
+        while isinstance(tail, ast.BinOp) and isinstance(tail.op, ast.Add):
+            tail = tail.right
+        if isinstance(tail, ast.JoinedStr) and tail.values:
+            tail = tail.values[-1]
+        if not (isinstance(tail, ast.Constant) and isinstance(tail.value, str)):
+            continue
+        body = tail.value
+        # an even run of backslashes before the "$" escapes only itself
+        if body.endswith("$") and (len(body) - 1 - len(body[:-1].rstrip("\\"))) % 2 == 0:
+            found.append(f"line {node.lineno}: re.{node.func.attr} pattern ends in '$'")
+    return found
+
+
+def test_the_dollar_check_sees_compiled_matched_and_concatenated_patterns():
+    source = (
+        'A = re.compile(r"^a+$")\n'
+        'B = re.match(r"^[a-z]+$", s)\n'
+        'C = re.compile(r"^entity\\s+(" + _IRI + r")\\s*\\{$")\n'
+        'D = re.compile(rf"{x}$", re.VERBOSE)\n'
+        'E = re.compile(r"a\\$")\n'
+        'F = re.fullmatch(r"[a-z]+", s)\n'
+        'G = re.search(r"a\\\\$", s)\n'
+        'H = re.compile(_NAME)\n'
+    )
+    assert dollar_anchored_patterns(source) == [
+        "line 1: re.compile pattern ends in '$'",
+        "line 2: re.match pattern ends in '$'",
+        "line 3: re.compile pattern ends in '$'",
+        "line 4: re.compile pattern ends in '$'",
+        "line 7: re.search pattern ends in '$'",
+    ]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "dingotk").glob("*.py")), ids=lambda p: p.name)
+def test_no_pattern_ends_in_a_dollar_anchor(path):
+    assert dollar_anchored_patterns(path.read_text("utf-8")) == []

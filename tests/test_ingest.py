@@ -3,7 +3,9 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from dingotk.dates import parse_partial_date
 from dingotk.ingest import (
     EmptyKeyError,
     EntityRule,
@@ -311,6 +313,60 @@ def test_month_out_of_range_is_a_failure_at_its_row():
         (3, "start", "2019-00", "month out of range: '2019-00'"),
     ]
     assert graph.objects(None, D.start_time) == [Literal("2019-04", XSD_GYEARMONTH)]
+
+
+@pytest.mark.parametrize(
+    "start, reason",
+    [
+        ("2019-13-01", "month out of range: '2019-13-01'"),
+        ("2019-02-30", "day out of range: '2019-02-30'"),
+    ],
+)
+def test_bad_full_dates_name_their_fault(start, reason):
+    spec = parse_mapping(TYPED)
+    graph, report = ingest_table([{"id": "g1", "start": start, "proj": "p"}], spec)
+    assert [(f.column, f.value, f.reason) for f in report.failures] == [("start", start, reason)]
+    assert graph.objects(None, D.start_time) == []
+
+
+def test_year_zero_is_a_year_at_every_precision():
+    # XSD 1.1 counts 0000 as 1 BCE, a leap year
+    spec = parse_mapping(TYPED)
+    starts = ["0000", "0000-05", "0000-01-01", "0000-02-29"]
+    rows = [{"id": f"g{i}", "start": start, "proj": "p"} for i, start in enumerate(starts)]
+    graph, report = ingest_table(rows, spec)
+    assert report.failures == []
+    assert graph.objects(None, D.start_time) == [
+        Literal("0000", XSD_GYEAR),
+        Literal("0000-01-01", XSD_DATE),
+        Literal("0000-02-29", XSD_DATE),
+        Literal("0000-05", XSD_GYEARMONTH),
+    ]
+
+
+# pieces of ISO dates and of what comes near them: a time part, space, line
+# breaks, an Arabic-Indic digit and a slash
+DATE_PIECES = [
+    "0", "1", "2", "9", "00", "02", "12", "13", "29", "30", "31", "2019", "0000",
+    "-", "T", " ", "\n", "\r", "\u0661", "/",
+]
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.lists(st.sampled_from(DATE_PIECES), min_size=1, max_size=6).map("".join))
+@example("2019-03-31T12:00:00Z")
+@example("2020-02-29")
+def test_an_iso_cell_is_ingested_exactly_when_dates_reads_it_without_a_time(cell):
+    spec = parse_mapping(TYPED)
+    graph, report = ingest_table([{"id": "g1", "start": cell, "proj": "p"}], spec)
+    parsed = None if "T" in cell else parse_partial_date(cell)
+    if parsed is None:
+        assert [f.column for f in report.failures] == ["start"]
+        assert graph.objects(None, D.start_time) == []
+    else:
+        assert report.failures == []
+        datatype = {1: XSD_GYEAR, 2: XSD_GYEARMONTH, 3: XSD_DATE}[parsed.precision]
+        assert graph.objects(None, D.start_time) == [Literal(cell, datatype)]
 
 
 def test_bad_decimal_is_a_failure_not_a_crash():

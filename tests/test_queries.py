@@ -522,6 +522,17 @@ def test_dates_in_digits_outside_ascii_are_unparseable():
     assert [(v.node, v.code) for v in check_temporal(data)] == [(iri("n"), "unparseable-date")]
 
 
+def test_dates_with_space_or_a_line_break_around_them_are_unparseable():
+    data = fixture(
+        'x:a d:start_time " 2019" ; d:end_time "2020" .\n'
+        'x:b d:start_time "2019" ; d:end_time "2020\\n" .'
+    )
+    assert [(v.node, v.code) for v in check_temporal(data)] == [
+        (iri("a"), "unparseable-date"),
+        (iri("b"), "unparseable-date"),
+    ]
+
+
 def test_equal_at_coarser_precision_is_not_a_violation():
     data = fixture('x:n d:start_time "2019" ; d:end_time "2019-03" .')
     assert check_temporal(data) == []

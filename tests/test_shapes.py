@@ -102,6 +102,10 @@ def test_parse_prefixed_names_and_value_checks():
     assert checks[D.administered_by] == ValueCheck("class", D.FundingAgency.value)
     assert checks[D.funds] == ValueCheck("shape", "P")
     assert schema.shapes["P"].constraints == ()
+    # a class check builds its IRI once, however many values it reads
+    class_check = checks[D.administered_by]
+    assert class_check.class_iri == D.FundingAgency
+    assert class_check.class_iri is class_check.class_iri
 
 
 def test_unresolved_shape_ref_is_an_error():

@@ -83,6 +83,8 @@ def test_blank_label_rules():
         BlankNode("")
     with pytest.raises(ValueError):
         BlankNode("has space")
+    with pytest.raises(ValueError, match="invalid blank node label"):
+        BlankNode("b0\n")
 
 
 def test_literal_language_requires_langstring_datatype():
@@ -93,6 +95,8 @@ def test_literal_language_requires_langstring_datatype():
         Literal("ciao", RDF_LANG_STRING)  # langString without tag
     with pytest.raises(ValueError):
         Literal("x", XSD_STRING[:-6] + " bad")
+    with pytest.raises(ValueError, match="invalid language tag"):
+        Literal("x", RDF_LANG_STRING, "en\n")
 
 
 def test_triple_structural_invariants():
@@ -116,6 +120,8 @@ def test_graph_prefix_validation():
     Graph([], {"d": "https://w3id.org/dingo#", "": EX})
     with pytest.raises(ValueError):
         Graph([], {"bad prefix": EX})
+    with pytest.raises(ValueError, match="invalid prefix name"):
+        Graph([], {"ex\n": EX})
     with pytest.raises(ValueError):
         Graph([], {"p": "not-an-iri"})
 

@@ -642,6 +642,29 @@ def test_memoized_renderer_repeats_its_text(text):
     assert once == [term_renderer(prefixes)(t) for t in terms]
 
 
+# pieces of numerals and booleans, and what must not slip into a bare one:
+# line breaks, space, quotes, a backslash and digits outside 0-9
+SHORTHAND_PIECES = [
+    "0", "7", "12", "+", "-", ".", "e", "E", "true", "false",
+    "\n", "\r", " ", '"', "'", "\\", "\u0661", "\uff12", "\u00b2",
+]
+SHORTHAND_LITERALS = st.builds(
+    Literal,
+    st.one_of(st.text(max_size=8), st.lists(st.sampled_from(SHORTHAND_PIECES), max_size=6).map("".join)),
+    st.sampled_from([XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_BOOLEAN]),
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(st.lists(SHORTHAND_LITERALS, max_size=6))
+def test_canonical_turtle_is_a_fixpoint_for_any_lexical_form(literals):
+    s = IRI("http://x/s")
+    g = Graph(Triple(s, IRI(f"http://x/p{i % 2}"), literal) for i, literal in enumerate(literals))
+    text = serialize_turtle(g)
+    assert parse_turtle(text) == g
+    assert serialize_turtle(parse_turtle(text)) == text
+
+
 def test_literal_lexical_forms_survive_round_trip():
     # "01" is not normalized to "1"; lexical comparison is exact
     g = Graph(

@@ -224,11 +224,14 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             annotations=annotations,
         )
 
+    def anonymous(iri: IRI, name: str, predicate: IRI) -> list:
+        return [(name, pretty(o)) for o in g.objects(iri, predicate) if isinstance(o, BlankNode)]
+
     class_entries = []
     for iri in sorted(schema.classes, key=term_sort_key):
         info = schema.classes[iri]
         relations = [("superclass", sup) for sup in sorted(info.direct_superclasses, key=term_sort_key)]
-        relations += [("superclass", pretty(blank)) for blank in info.anonymous_superclasses]
+        relations += anonymous(iri, "superclass", RDFS_SUBCLASS_OF)
         relations += [(m.kind, m.target) for m in info.mappings]
         class_entries.append(new_entry(iri, "class", "class", relations))
 
@@ -237,12 +240,11 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
         info = schema.properties[iri]
         relations = [("domain", dom) for dom in sorted(info.domains, key=term_sort_key)]
         relations += [("range", rng) for rng in sorted(info.ranges, key=term_sort_key)]
-        for name, predicate in (("domain", RDFS_DOMAIN), ("range", RDFS_RANGE)):
-            relations += [(name, pretty(o)) for o in g.objects(iri, predicate) if isinstance(o, BlankNode)]
+        relations += anonymous(iri, "domain", RDFS_DOMAIN) + anonymous(iri, "range", RDFS_RANGE)
         relations += [
             ("superproperty", sup) for sup in sorted(info.direct_superproperties, key=term_sort_key)
         ]
-        relations += [("superproperty", pretty(blank)) for blank in info.anonymous_superproperties]
+        relations += anonymous(iri, "superproperty", RDFS_SUBPROPERTY_OF)
         relations += [(m.kind, m.target) for m in info.mappings]
         property_entries.append(new_entry(iri, "prop", info.kind or "property", relations))
 

@@ -38,8 +38,10 @@ from .terms import (
     DingoError,
     Graph,
     IRI,
+    LANGUAGE_TAG,
     LEXICAL_FORMS,
     Literal,
+    PREFIX_NAME,
     RDF_LANG_STRING,
     RDF_TYPE,
     Triple,
@@ -50,6 +52,7 @@ from .terms import (
     XSD_INTEGER,
     XSD_STRING,
     is_absolute_iri,
+    line_and_column,
     read_iri_token,
 )
 
@@ -152,9 +155,9 @@ def mint_iri(base: str, entity_class: IRI, key: str) -> IRI:
 # mapping file parsing
 # ---------------------------------------------------------------------------
 
-_IRI_OR_PNAME = r"(?:<[^<>\s]+>|[A-Za-z_][\w.-]*:[\w.%-]*)"
+_IRI_OR_PNAME = rf"(?:<[^<>\s]+>|{PREFIX_NAME.pattern}:[\w.%-]*)"
 # each matched with fullmatch against one stripped line
-_PREFIX_LINE = re.compile(r"prefix\s+([A-Za-z_][\w.-]*):\s+<([^<>\s]+)>")
+_PREFIX_LINE = re.compile(rf"prefix\s+({PREFIX_NAME.pattern}):\s+<([^<>\s]+)>")
 _BASE_LINE = re.compile(r"base\s+<([^<>\s]+)>")
 _COLUMNS_LINE = re.compile(r"columns\s+(.+)")
 _ENTITY_LINE = re.compile(r"entity\s+([A-Za-z_][\w-]*)\s+(" + _IRI_OR_PNAME + r")\s*\{")
@@ -268,6 +271,8 @@ class _MappingParser:
         if kind_token == "string":
             return PropertyRule(column, predicate, "string")
         if kind_token.startswith("string@"):
+            if not LANGUAGE_TAG.fullmatch(kind_token[7:]):
+                raise MappingParseError(f"invalid language tag: {kind_token[7:]!r}", line_no)
             return PropertyRule(column, predicate, "lang-string", language=kind_token[7:])
         if kind_token == "date":
             return PropertyRule(column, predicate, "date", date_format=fmt)
@@ -416,8 +421,7 @@ def read_json_records(text: str) -> list:
     except RecursionError:
         # the decoder recurses once per nesting level
         depth, offset = _deepest_nesting(text)
-        line = text.count("\n", 0, offset) + 1
-        column = offset - text.rfind("\n", 0, offset)
+        line, column = line_and_column(text, offset)
         raise DingoError(
             f"line {line}, column {column}: JSON nests {depth} levels deep, too deep to read"
         ) from None

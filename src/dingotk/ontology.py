@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from .terms import (
-    BlankNode,
     DingoError,
     Graph,
     IRI,
@@ -87,7 +86,6 @@ class Mapping:
 class ClassInfo:
     iri: IRI
     direct_superclasses: set = field(default_factory=set)
-    anonymous_superclasses: list = field(default_factory=list)  # opaque blank markers
     mappings: list = field(default_factory=list)
     declared: bool = False
 
@@ -99,7 +97,6 @@ class PropertyInfo:
     domains: set = field(default_factory=set)
     ranges: set = field(default_factory=set)
     direct_superproperties: set = field(default_factory=set)
-    anonymous_superproperties: list = field(default_factory=list)
     mappings: list = field(default_factory=list)
     declared: bool = False
 
@@ -240,8 +237,6 @@ def _check_class_cycles(classes: dict, equivalences: list) -> None:
     for iri, info in classes.items():
         source = find(iri)
         for sup in info.direct_superclasses:
-            if sup not in parent:
-                continue
             target = find(sup)
             if source != target:
                 edges.setdefault(source, set()).add(target)
@@ -288,8 +283,8 @@ def find_cycle(roots: Iterable, successors: Callable[[Any], Iterable]) -> Option
 def load_ontology(g: Graph) -> OntologySchema:
     """Build an OntologySchema from OWL/RDFS declaration triples.
 
-    Subclass/superclass edges pointing at anonymous class expressions are
-    kept as opaque markers and excluded from hierarchy traversal. Raises
+    Subclass and subproperty edges to blank nodes (anonymous class
+    expressions) stay in the graph and out of the hierarchy. Raises
     SubclassCycleError for strict subclass cycles (equivalence-collapsed)
     and PropertyKindConflictError for contradictory property declarations.
     """
@@ -337,8 +332,6 @@ def load_ontology(g: Graph) -> OntologySchema:
                 raise SubclassCycleError([t.subject])
             entry.direct_superclasses.add(t.object)
             class_entry(t.object)
-        elif isinstance(t.object, BlankNode):
-            entry.anonymous_superclasses.append(t.object)
 
     for t in g.match(None, RDFS_SUBPROPERTY_OF, None):
         if not isinstance(t.subject, IRI):
@@ -347,8 +340,6 @@ def load_ontology(g: Graph) -> OntologySchema:
         if isinstance(t.object, IRI):
             entry.direct_superproperties.add(t.object)
             property_entry(t.object)
-        elif isinstance(t.object, BlankNode):
-            entry.anonymous_superproperties.append(t.object)
 
     for t in g.match(None, RDFS_DOMAIN, None):
         if isinstance(t.subject, IRI) and t.subject in properties and isinstance(t.object, IRI):

@@ -176,25 +176,15 @@ def participants_with_roles(
     reified (project -> participation node -> agent + role).
     """
     entries: set = set()
-    direct_agents = _paired_neighbors(
-        data, project, vocab.has_participant, vocab.participates_in
-    )
-    for agent in direct_agents:
-        roles = data.objects(agent, vocab.has_role)
-        if roles:
-            for role in roles:
-                entries.add(Participation(project, agent, role))
-        else:
-            entries.add(Participation(project, agent, None))
+    for agent in _paired_neighbors(data, project, vocab.has_participant, vocab.participates_in):
+        for role in data.objects(agent, vocab.has_role) or (None,):
+            entries.add(Participation(project, agent, role))
     for pnode in data.objects(project, vocab.has_participation):
         agents = data.objects(pnode, vocab.participant)
-        roles = data.objects(pnode, vocab.in_role)
+        roles = data.objects(pnode, vocab.in_role) or (None,)
         for agent in agents:
-            if roles:
-                for role in roles:
-                    entries.add(Participation(project, agent, role))
-            else:
-                entries.add(Participation(project, agent, None))
+            for role in roles:
+                entries.add(Participation(project, agent, role))
     return sorted(
         entries,
         key=lambda p: (term_sort_key(p.agent), term_sort_key(p.role) if p.role else ()),

@@ -36,6 +36,7 @@ from .terms import (
     Graph,
     IRI,
     Literal,
+    PREFIX_NAME,
     RDF_TYPE,
     Term,
     read_iri_token,
@@ -230,8 +231,9 @@ class _ShapeFileParser:
         if kind != "word" or not value.endswith(":"):
             raise ShapeParseError(f"expected a prefix name ending in ':', got {value!r}", line)
         name = value[:-1]
-        namespace = self._parse_iri()
-        self.prefixes[name] = namespace.value
+        if not PREFIX_NAME.fullmatch(name):
+            raise ShapeParseError(f"invalid prefix name: {name!r}", line)
+        self.prefixes[name] = self._parse_iri().value
 
     def _parse_shape(self, line: int) -> None:
         kind, name, nline = self._take()

@@ -89,9 +89,16 @@ _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 # these three are matched with fullmatch, so no label, tag or prefix ends in a newline
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*")
-# empty string is the default prefix; dots allowed inside but not at the edges
-_PREFIX_RE = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*(\.[A-Za-z0-9_-]+)*)?")
+# The language tag (Turtle's LANGTAG after its "@") and the prefix name (the
+# text before a colon; "" is the default prefix) that every reader checks.
+# Neither captures a group, so other patterns may embed their `.pattern`.
+LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
+PREFIX_NAME = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*)?")
+
+
+def line_and_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of an offset into text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def is_absolute_iri(value: str) -> bool:
@@ -178,7 +185,7 @@ class Literal(namedtuple("Literal", "lexical datatype language")):
 
     def __new__(cls, lexical: str, datatype: str = XSD_STRING, language: Optional[str] = None) -> "Literal":
         if language is not None:
-            if not _LANG_TAG_RE.fullmatch(language):
+            if not LANGUAGE_TAG.fullmatch(language):
                 raise ValueError(f"invalid language tag: {language!r}")
             if datatype != RDF_LANG_STRING:
                 raise ValueError("language-tagged literal must have the rdf:langString datatype")
@@ -243,7 +250,7 @@ def triple_sort_key(triple: Triple) -> tuple:
 def _checked_prefixes(prefixes: Optional[Mapping[str, str]]) -> dict:
     checked = dict(prefixes) if prefixes else {}
     for prefix, namespace in checked.items():
-        if not _PREFIX_RE.fullmatch(prefix):
+        if not PREFIX_NAME.fullmatch(prefix):
             raise ValueError(f"invalid prefix name: {prefix!r}")
         if not is_absolute_iri(namespace) or _IRI_FORBIDDEN.search(namespace):
             raise ValueError(f"prefix {prefix!r} maps to an invalid namespace: {namespace!r}")

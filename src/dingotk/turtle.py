@@ -22,8 +22,10 @@ from .terms import (
     DingoError,
     Graph,
     IRI,
+    LANGUAGE_TAG,
     LEXICAL_FORMS,
     Literal,
+    PREFIX_NAME,
     RDF_FIRST,
     RDF_LANG_STRING,
     RDF_NIL,
@@ -40,6 +42,7 @@ from .terms import (
     expand_name,
     gc_paused,
     is_absolute_iri,
+    line_and_column,
 )
 
 
@@ -115,7 +118,7 @@ _TOKEN_RE = re.compile(
       | (?P<iriref><[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*>)
       | (?P<long_string>{_long_string('"')}|{_long_string("'")})
       | (?P<string>{_short_string('"')}|{_short_string("'")})
-      | (?P<at>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+      | (?P<at>@{LANGUAGE_TAG.pattern})
       | (?P<datatype>\^\^)
       | (?P<double>{LEXICAL_FORMS[XSD_DOUBLE].pattern})
       | (?P<decimal>{LEXICAL_FORMS[XSD_DECIMAL].pattern})
@@ -210,9 +213,7 @@ def _tokenize(text: str) -> Iterator[tuple]:
 def _error_at(
     text: str, offset: int, message: str, token: str = "", cls: type = TurtleParseError
 ) -> TurtleParseError:
-    line = text.count("\n", 0, offset) + 1
-    column = offset - text.rfind("\n", 0, offset)
-    return cls(message, line, column, token)
+    return cls(message, *line_and_column(text, offset), token)
 
 
 _BODY_RUN = {
@@ -431,6 +432,8 @@ class _Parser:
         prefix, _, local = name[1].partition(":")
         if local:
             raise self._error("prefix declaration must end with ':'", name)
+        if not PREFIX_NAME.fullmatch(prefix):
+            raise self._error(f"invalid prefix name: {prefix!r}", name)
         self.tok = self._next_token()
         self.prefixes[prefix] = self._take_iriref("namespace IRI").value
         if dotted:

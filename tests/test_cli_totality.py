@@ -1,9 +1,11 @@
 """Every CLI command over generated input ends in an exit code, never an exception.
 
 Turtle documents are built from grammar pieces (terms, verbs, ';', ',', '.',
-and '[ ]'/'( )' nests up to about 2 000 levels deep), then hit with
-single-token deletions and insertions, and fed to the commands that read
-Turtle, `query temporal-check` included. Mapping files, shape files and CSV
+'[ ]'/'( )' nests up to about 2 000 levels deep, and prefix declarations,
+most of names outside the prefix-name form), then hit with single-token
+deletions and insertions, and fed to the commands that read Turtle,
+`query temporal-check` included; a `convert` that exits 2 must name the
+line and column of its error. Mapping files, shape files and CSV
 and JSON tables are generated and mutated the same way and fed to `ingest`
 (with `--delimiter` and `--base`) and `validate --shapes`. Whole argument
 lists are drawn from command names, flags, the bundled files, a file that is
@@ -14,6 +16,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -51,6 +54,11 @@ VERBS = [
 DINGO = "https://w3id.org/dingo#"
 # only inserted, as a single-token edit
 STRAYS = [".", ";", ",", "[", "]", "(", ")", "und:x", "<rel>", "@en", "^^"]
+# prefix declarations, most with names outside Turtle's prefix-name form
+DECLARATIONS = [
+    ["@prefix", "dé:", "<http://x/>", "."], ["@prefix", "a.:", "<http://x/>", "."], ["PREFIX", "-a:", "<http://x/>"],
+    ["PREFIX", ":", "<http://x/>"],
+]
 
 nodes = st.sampled_from(NODES)
 terms = st.sampled_from(NODES + LITERALS)
@@ -117,7 +125,8 @@ def mutated(draw, tokens: list, pool: list) -> list:
 
 @st.composite
 def documents(draw):
-    tokens = [token for statement in draw(st.lists(statements(), max_size=3)) for token in statement]
+    pieces = st.one_of(statements(), statements(), st.sampled_from(DECLARATIONS))
+    tokens = [token for piece in draw(st.lists(pieces, max_size=3)) for token in piece]
     if draw(st.booleans()):  # one deep nest, as a subject or as an object of a documented class
         nest, verb = draw(nests(2000)), draw(verbs)
         tokens += draw(st.sampled_from([nest + [verb, "1", "."], ["d:Project", verb] + nest + ["."]]))
@@ -174,6 +183,8 @@ def assert_exit_code(argv) -> None:
         code = run(argv)
     assert code in ({0, 1, 2, 3} if may_exit_1(argv) else {0, 2, 3}), argv
     assert "Traceback" not in err.getvalue()
+    if argv[0] == "convert" and code == 2:  # every Turtle input error is positioned
+        assert re.match(r"error: line [0-9]+, column [0-9]+: ", err.getvalue()), err.getvalue()
 
 
 # -- ingest: mapping files and CSV or JSON tables ------------------------------

@@ -1,7 +1,8 @@
 """Import boundaries: `import dingotk` loads no submodule, each CLI command
 loads only the modules it runs, no module reaches into a sibling's private
 names or imports a name it never uses, only `terms` reads a graph's index
-layout, and no regex literal ends in a "$" anchor.
+layout or spells the name forms and the position arithmetic, and no regex
+literal ends in a "$" anchor.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import dingotk
+from dingotk.terms import LANGUAGE_TAG, PREFIX_NAME
 
 SRC = Path(dingotk.__file__).resolve().parents[1]
 DATA = SRC / "dingotk" / "data"
@@ -203,6 +205,16 @@ def test_the_layout_check_sees_attribute_reads_on_any_object():
 )
 def test_only_terms_reads_the_graph_index_layout(path):
     assert graph_layout_reads(path.read_text("utf-8")) == []
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "dingotk").glob("*.py") if p.name != "terms.py"), ids=lambda p: p.name
+)
+def test_only_terms_spells_the_name_forms_and_the_position_arithmetic(path):
+    # readers embed `PREFIX_NAME.pattern` and `LANGUAGE_TAG.pattern` and call `line_and_column`
+    source = path.read_text("utf-8")
+    for text in (PREFIX_NAME.pattern, LANGUAGE_TAG.pattern, 'rfind("\\n"'):
+        assert text not in source
 
 
 def unused_imports(source: str) -> list:

@@ -145,6 +145,14 @@ def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, message):
         ("}\n", "", 8, "entity Thing: unterminated block"),
         ("    key id\n", "", 8, "entity Thing: missing 'key' declaration"),
         (": string", ": ref", 8, "ref needs an entity name: 'ref <Entity>'"),
+        # names outside the prefix-name and language-tag forms that Turtle reads
+        (f"prefix d: <{DINGO_BASE}>", f"prefix d.: <{DINGO_BASE}>", 2,
+         f"cannot parse: 'prefix d.: <{DINGO_BASE}>'"),
+        (f"prefix d: <{DINGO_BASE}>", f"prefix dé: <{DINGO_BASE}>", 2,
+         f"cannot parse: 'prefix dé: <{DINGO_BASE}>'"),
+        (": string", ": string@en-", 8, "invalid language tag: 'en-'"),
+        (": string", ": string@", 8, "invalid language tag: ''"),
+        (": string", ": string@é", 8, "invalid language tag: 'é'"),
     ],
 )
 def test_mapping_structure_errors_name_their_line(old, new, line, message):
@@ -153,6 +161,17 @@ def test_mapping_structure_errors_name_their_line(old, new, line, message):
         parse_mapping(MINIMAL.replace(old, new))
     assert str(err.value) == f"line {line}: {message}"
     assert err.value.line == line
+
+
+def test_mapping_reads_the_prefix_names_and_language_tags_that_turtle_reads():
+    text = MINIMAL.replace("d:", ":")
+    spec = parse_mapping(text.replace("columns", f"prefix a.b: <{DINGO_BASE}>\ncolumns"))
+    assert spec.prefixes == {"": DINGO_BASE, "a.b": DINGO_BASE}
+    assert spec == parse_mapping(MINIMAL)
+    rows = [{"id": "p1", "name": "Alpha"}]
+    graph, report = ingest_table(rows, parse_mapping(MINIMAL.replace(": string", ": string@en-GB")))
+    assert report.failures == []
+    assert Literal("Alpha", RDF_LANG_STRING, "en-GB") in graph.objects(None, D.title)
 
 
 def test_unknown_value_kind_is_an_error():

@@ -17,6 +17,7 @@ from dingotk.ontology import (
     OWL_OBJECT_PROPERTY,
     PropertyKindConflictError,
     RDFS_SUBCLASS_OF,
+    RDFS_SUBPROPERTY_OF,
     SubclassCycleError,
     UnknownClassError,
     UnknownTermError,
@@ -101,6 +102,13 @@ def test_conflicting_property_kinds_rejected():
         load_ontology(parse_turtle(text))
 
 
+def test_blank_property_declarations_are_skipped():
+    text = onto("[] a owl:ObjectProperty ; rdfs:domain ex:A .\n[ a owl:DatatypeProperty ] a owl:Class .")
+    schema = load_ontology(parse_turtle(text))
+    assert schema.properties == {}
+    assert schema.classes == {}
+
+
 def test_edge_targets_register_even_when_undeclared():
     # B is never declared owl:Class but appears as a superclass
     schema = load_ontology(parse_turtle(onto("ex:A a owl:Class ; rdfs:subClassOf ex:B .")))
@@ -117,10 +125,13 @@ def test_anonymous_superclasses_are_opaque():
         "[ a owl:Restriction ; owl:onProperty ex:p ; owl:minCardinality 1 ] .\n"
         "ex:B a owl:Class ."
     )
-    schema = load_ontology(parse_turtle(text))
+    g = parse_turtle(text)
+    schema = load_ontology(g)
     info = schema.classes[IRI(EX + "A")]
     assert info.direct_superclasses == {IRI(EX + "B")}
-    assert len(info.anonymous_superclasses) == 1
+    # the restriction stays in the graph, where docgen reads it, and out of the schema
+    (blank,) = [o for o in g.objects(info.iri, RDFS_SUBCLASS_OF) if isinstance(o, BlankNode)]
+    assert blank not in schema.classes
     assert schema.superclass_closure(IRI(EX + "A")) == {IRI(EX + "B")}
 
 
@@ -130,14 +141,12 @@ def test_superproperties_split_into_named_and_anonymous():
     part, related = IRI(SUBPROPERTY_NS + "hasPart"), IRI(SUBPROPERTY_NS + "relatedTo")
     info = schema.properties[IRI(SUBPROPERTY_NS + "hasComponent")]
     assert info.direct_superproperties == {part, related}
-    (blank,) = info.anonymous_superproperties
-    assert isinstance(blank, BlankNode)
+    (blank,) = [o for o in g.objects(info.iri, RDFS_SUBPROPERTY_OF) if isinstance(o, BlankNode)]
     assert g.objects(blank, IRI(OWL + "inverseOf")) == [IRI(SUBPROPERTY_NS + "partOf")]
     # an undeclared superproperty registers; a blank subproperty does not
     assert set(schema.properties) == {info.iri, part, related}
     assert not schema.properties[related].declared
     assert schema.properties[part].direct_superproperties == set()
-    assert schema.properties[part].anonymous_superproperties == []
 
 
 def test_closure_of_root_is_empty(snapshot_schema):
@@ -354,6 +363,15 @@ def test_equivalence_mapping_kinds_respect_term_kind():
     assert schema.mappings_of(IRI(EX + "p")) == [
         Mapping("owl-equivalent-property", IRI("http://other.org/q"))
     ]
+
+
+def test_blank_mapping_ends_are_skipped():
+    text = onto(
+        "ex:A a owl:Class ; skos:exactMatch [ a owl:Class ] ; skos:closeMatch <http://other.org/B> .\n"
+        "[] skos:exactMatch ex:A ; owl:equivalentClass ex:A .\n"
+    )
+    schema = load_ontology(parse_turtle(text))
+    assert schema.mappings_of(IRI(EX + "A")) == [Mapping("skos-close", IRI("http://other.org/B"))]
 
 
 def test_snapshot_mappings_correspond_to_triples(snapshot_graph, snapshot_schema):

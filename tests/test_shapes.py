@@ -173,6 +173,11 @@ def test_unresolvable_iri_in_shape_file(text, line, message):
         (f"shape S {{\n <{EX}p> any {{x}} }}", 2, "malformed cardinality"),
         (f"shape S {{ <{EX}p> any\n\n {{1,x}} }}", 3, "malformed cardinality"),
         (f"shape S {{ <{EX}p> iri {{\n 1 }} ; <{EX}q> any {{ }} }}", 2, "malformed cardinality"),
+        # prefix names outside the form that Turtle reads
+        *(
+            (f"shape S {{ }}\nprefix {name}: <{EX}>", 2, f"invalid prefix name: {name!r}")
+            for name in ["1x.", "d.", "dé", "-a", "a:b", "a..b"]
+        ),
     ],
 )
 def test_shape_file_syntax_errors_name_their_line(text, line, message):
@@ -180,6 +185,12 @@ def test_shape_file_syntax_errors_name_their_line(text, line, message):
         parse_shapes(text)
     assert str(err.value) == f"line {line}: {message}"
     assert err.value.line == line
+
+
+def test_prefix_names_are_those_turtle_reads():
+    schema = parse_shapes(f"prefix : <{EX}>\nprefix a.b_-1: <{EX}>\nshape S target :C {{ a.b_-1:p any }}")
+    assert schema.target_map == [(IRI(EX + "C"), "S")]
+    assert schema.shapes["S"].constraints[0].predicate == IRI(EX + "p")
 
 
 @pytest.mark.parametrize("card", ["{%s}", "{1,%s}"], ids=["min", "max"])
@@ -323,6 +334,33 @@ def test_unregistered_target_class_falls_back_to_direct_typing():
     assert [v.code for v in report.violations] == ["missing-required"]
     report_no_schema = validate(data, None, shapes)
     assert [v.code for v in report_no_schema.violations] == ["missing-required"]
+
+
+def test_class_check_reads_direct_types_without_a_schema_or_outside_it():
+    shapes = parse_shapes(
+        f"shape S target <{EX}C> {{ <{EX}p> class <{EX}Mystery> * ; <{EX}q> class <{EX}C> * }}"
+    )
+    data = Graph(
+        [
+            Triple(IRI(EX + "n"), RDF_TYPE, IRI(EX + "C")),
+            Triple(IRI(EX + "n"), IRI(EX + "p"), IRI(EX + "mystery")),
+            Triple(IRI(EX + "n"), IRI(EX + "p"), IRI(EX + "other")),
+            Triple(IRI(EX + "n"), IRI(EX + "q"), IRI(EX + "sub")),
+            Triple(IRI(EX + "mystery"), RDF_TYPE, IRI(EX + "Mystery")),
+            Triple(IRI(EX + "other"), RDF_TYPE, IRI(EX + "Other")),
+            Triple(IRI(EX + "sub"), RDF_TYPE, IRI(EX + "Sub")),
+        ]
+    )
+
+    def wrong_classes(schema):
+        report = validate(data, schema, shapes)
+        assert {v.code for v in report.violations} == {"wrong-class"}
+        return [v.message.split()[1] for v in report.violations]
+
+    # Mystery is outside the schema, so only a node typed Mystery itself has it
+    assert wrong_classes(simple_schema()) == [f"<{EX}other>"]
+    # with no schema, Sub is not known to be below C either
+    assert wrong_classes(None) == [f"<{EX}other>", f"<{EX}sub>"]
 
 
 def test_ref_to_targetless_shape_accepts_anything():

@@ -19,7 +19,9 @@ from dingotk.terms import (
     BlankNode,
     Graph,
     IRI,
+    LANGUAGE_TAG,
     Literal,
+    PREFIX_NAME,
     RDF_LANG_STRING,
     RDF_TYPE,
     Triple,
@@ -27,6 +29,7 @@ from dingotk.terms import (
     XSD_STRING,
     expand_name,
     gc_paused,
+    line_and_column,
     read_iri_token,
     term_sort_key,
     triple_sort_key,
@@ -124,6 +127,28 @@ def test_graph_prefix_validation():
         Graph([], {"ex\n": EX})
     with pytest.raises(ValueError):
         Graph([], {"p": "not-an-iri"})
+
+
+@pytest.mark.parametrize(
+    "form, accepted, rejected",
+    [
+        (PREFIX_NAME, ["", "d", "_x", "a.b", "a-1.b_2"], ["dé", "a.", ".a", "a..b", "-a", "1x", "a:b", "d\n"]),
+        (LANGUAGE_TAG, ["en", "en-GB", "de-CH-1996", "x-1"], ["", "en-", "-en", "1en", "é", "en_GB", "en\n"]),
+    ],
+    ids=["prefix-name", "language-tag"],
+)
+def test_name_forms_are_ascii_and_capture_no_group(form, accepted, rejected):
+    assert form.groups == 0
+    assert [text for text in accepted if not form.fullmatch(text)] == []
+    assert [text for text in rejected if form.fullmatch(text)] == []
+
+
+@pytest.mark.parametrize(
+    "text, offset, position",
+    [("", 0, (1, 1)), ("ab", 2, (1, 3)), ("a\nbc", 2, (2, 1)), ("a\nbc", 4, (2, 3)), ("\n\r\nx", 3, (3, 1))],
+)
+def test_line_and_column_of_an_offset(text, offset, position):
+    assert line_and_column(text, offset) == position
 
 
 def test_term_order_is_kind_then_value():

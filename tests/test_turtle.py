@@ -411,6 +411,30 @@ def test_first_error_in_document_order_is_reported(document, cls, column, messag
     assert str(err.value) == f"line 1, column {column}: {message}"
 
 
+@pytest.mark.parametrize(
+    "document, line, column, prefix",
+    [
+        ("@prefix dé: <http://x/> .", 1, 9, "dé"),
+        ("<http://x/s> <http://x/p> 1 .\nPREFIX a.: <http://x/>", 2, 8, "a."),
+        ("# comment\n  @prefix -a: <http://x/> .", 2, 11, "-a"),
+        ("@prefix a..b: <http://x/> .", 1, 9, "a..b"),
+    ],
+)
+def test_a_prefix_outside_the_prefix_name_form_is_an_error_at_its_name(document, line, column, prefix):
+    with pytest.raises(TurtleParseError) as err:
+        parse_turtle(document)
+    assert type(err.value) is TurtleParseError
+    assert (err.value.line, err.value.column) == (line, column)
+    message = f"invalid prefix name: {prefix!r} (at {prefix + ':'!r})"
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+
+
+def test_every_prefix_name_form_is_declared_and_used():
+    g = parse_turtle("@prefix : <http://x/> . PREFIX a.b_-1: <http://y/>\n:s a.b_-1:p :o .")
+    assert g.prefixes == {"": "http://x/", "a.b_-1": "http://y/"}
+    assert g.triples == {Triple(IRI("http://x/s"), IRI("http://y/p"), IRI("http://x/o"))}
+
+
 def test_parse_peak_memory_stays_near_the_graph_it_builds():
     # the parser reads tokens as it goes, so no token list adds to the peak
     g = random_graph(random.Random(1), max_triples=100_000, max_blanks=8)

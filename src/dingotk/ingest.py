@@ -18,7 +18,9 @@ Value kinds: ``string``, ``string@<lang>``, ``date`` (ISO year / year-month /
 full date, or ``format <strptime-pattern>`` for anything else), ``decimal``
 and ``ref <Entity>`` (mints the referenced entity's IRI from the cell value).
 Empty cells emit nothing; conversion failures skip the cell and land in the
-report instead of aborting the row.
+report instead of aborting the row. IRIs and prefixed names read as in
+Turtle, escapes included; ``columns``, ``key``, a map's column and a date
+``format`` are free text to the line's end. Errors give line and column.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .terms import (
     LANGUAGE_TAG,
     LEXICAL_FORMS,
     Literal,
-    PREFIX_NAME,
+    PositionedError,
     RDF_LANG_STRING,
     RDF_TYPE,
     Triple,
@@ -52,9 +54,8 @@ from .terms import (
     XSD_INTEGER,
     XSD_STRING,
     is_absolute_iri,
-    line_and_column,
-    read_iri_token,
 )
+from .turtle import TokenReader
 
 # separator for composite keys; never survives percent-encoding, so minting
 # stays injective across column tuples
@@ -66,10 +67,8 @@ _DATE_DATATYPES = (XSD_GYEAR, XSD_GYEARMONTH, XSD_DATE)
 _DECIMAL_FORMS = (LEXICAL_FORMS[XSD_INTEGER], LEXICAL_FORMS[XSD_DECIMAL])
 
 
-class MappingParseError(DingoError):
-    def __init__(self, message: str, line: int) -> None:
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class MappingParseError(PositionedError):
+    pass
 
 
 class EmptyKeyError(DingoError):
@@ -155,135 +154,130 @@ def mint_iri(base: str, entity_class: IRI, key: str) -> IRI:
 # mapping file parsing
 # ---------------------------------------------------------------------------
 
-_IRI_OR_PNAME = rf"(?:<[^<>\s]+>|{PREFIX_NAME.pattern}:[\w.%-]*)"
-# each matched with fullmatch against one stripped line
-_PREFIX_LINE = re.compile(rf"prefix\s+({PREFIX_NAME.pattern}):\s+<([^<>\s]+)>")
-_BASE_LINE = re.compile(r"base\s+<([^<>\s]+)>")
-_COLUMNS_LINE = re.compile(r"columns\s+(.+)")
-_ENTITY_LINE = re.compile(r"entity\s+([A-Za-z_][\w-]*)\s+(" + _IRI_OR_PNAME + r")\s*\{")
-_KEY_LINE = re.compile(r"key\s+(.+)")
-_MAP_LINE = re.compile(
-    r"map\s+([\w.-]+)\s*->\s*(" + _IRI_OR_PNAME + r")\s*:\s*"
-    r"(ref\s+[A-Za-z_][\w-]*|\S+)(?:\s+format\s+(.+))?"
-)
 
+class _MappingParser(TokenReader):
+    """Reads a mapping one line at a time; `end` is where the current line ends.
+    The `columns` and `key` lists, the column of a `map` and a date `format`
+    are free text, read to the end of the line and never lexed."""
 
-class _MappingParser:
-    def __init__(self, text: str) -> None:
-        self.lines = text.splitlines()
-        self.prefixes: dict = {}
-        self.base: Optional[str] = None
-        self.columns: list = []
-        self.entities: list = []
-        self.entity_lines: list = []  # header line of each entity
-        self.ref_lines: list = []  # (entity name, referenced name, map line)
+    error = MappingParseError
+    punctuation = "{}"
 
-    def _resolve(self, token: str, line_no: int) -> IRI:
-        try:
-            return read_iri_token(token, self.prefixes)
-        except ValueError as exc:
-            raise MappingParseError(str(exc), line_no) from None
+    def _next_line(self) -> bool:
+        # move to the next line that holds a token; False past the last line
+        while self.end < len(self.text):
+            start = self.end + 1
+            end = self.text.find("\n", start)
+            self.end = len(self.text) if end < 0 else end
+            self._read_from(start)
+            if self.tok[0] != "eof":
+                return True
+        return False
 
-    def _check_column(self, column: str, line_no: int) -> str:
+    def _free_text(self) -> tuple:
+        """The offset and the stripped text after the current keyword and a space."""
+        start = self.tok[2] + len(self.tok[1])
+        rest = self.text[start : self.end]
+        if not rest[:1].isspace() or not rest.strip():
+            raise self._error(f"expected text after {self.tok[1]!r}", start)
+        return start + len(rest) - len(rest.lstrip()), rest.strip()
+
+    def _column(self, column: str, offset: int) -> str:
         if column not in self.columns:
-            raise MappingParseError(f"undeclared column {column!r}", line_no)
+            raise self._error(f"undeclared column {column!r}", offset)
         return column
 
     def parse(self) -> MappingSpec:
-        i = 0
-        while i < len(self.lines):
-            line_no = i + 1
-            line = self.lines[i].strip()
-            i += 1
-            if not line or line.startswith("#"):
+        self.end = -1  # before the first line
+        self.last = len(self.text) - self.text.endswith("\n")  # the end of the last line
+        self.base: Optional[str] = None
+        self.columns: list = []
+        self.entities: dict = {}  # name -> EntityRule, in the order declared
+        while self._next_line():
+            if self._at_word("columns"):
+                self.columns.extend(c.strip() for c in self._free_text()[1].split(",") if c.strip())
                 continue
-            if match := _PREFIX_LINE.fullmatch(line):
-                self.prefixes[match.group(1)] = match.group(2)
-            elif match := _BASE_LINE.fullmatch(line):
-                self.base = match.group(1)
-                if not is_absolute_iri(self.base):
-                    raise MappingParseError(f"base must be an absolute IRI: {self.base!r}", line_no)
-                self._resolve(f"<{self.base}>", line_no)  # no forbidden character
-            elif match := _COLUMNS_LINE.fullmatch(line):
-                self.columns.extend(c.strip() for c in match.group(1).split(",") if c.strip())
-            elif match := _ENTITY_LINE.fullmatch(line):
-                i = self._parse_entity(match, i)
+            if not self._at_word("prefix", "base", "entity"):
+                raise self._error(f"expected a declaration, got {self._shown()}", self.tok[2])
+            keyword = self._take()[1]
+            if keyword == "prefix":
+                self._prefix_declaration(("iriref",))
+            elif keyword == "base":
+                kind, value, offset = self.tok
+                if kind == "iriref" and not is_absolute_iri(value):
+                    raise self._error(f"base must be an absolute IRI: {value!r}", offset)
+                self.base = self._iri(("iriref",), "a base IRI").value
             else:
-                raise MappingParseError(f"cannot parse: {line!r}", line_no)
+                self._parse_entity()
+            self._expect("eof", "the end of the line")
         if self.base is None:
-            raise MappingParseError("missing 'base <iri>' declaration", len(self.lines) or 1)
+            raise self._error("missing 'base <iri>' declaration", self.last)
         if not self.entities:
-            raise MappingParseError("mapping declares no entities", len(self.lines) or 1)
-        names: set = set()
-        for entity, line_no in zip(self.entities, self.entity_lines):
-            if entity.name in names:
-                raise MappingParseError("duplicate entity names", line_no)
-            names.add(entity.name)
-        for name, ref, line_no in self.ref_lines:
-            if ref not in names:
-                raise MappingParseError(f"entity {name}: ref to undeclared entity {ref!r}", line_no)
+            raise self._error("mapping declares no entities", self.last)
+        self._check_references(self.entities, "entity {}: ref to undeclared entity {!r}")
         return MappingSpec(
             base_iri=self.base,
-            entities=tuple(self.entities),
+            entities=tuple(self.entities.values()),
             columns=tuple(self.columns),
             prefixes=dict(self.prefixes),
         )
 
-    def _parse_entity(self, header, i: int) -> int:
-        name = header.group(1)
-        self.entity_lines.append(i)
-        entity_class = self._resolve(header.group(2), i)
+    def _parse_entity(self) -> None:
+        name = self._declared_name("entity", self.entities)
+        entity_class = self._iri()
+        self._expect("{", "'{' after the entity class")
+        self._expect("eof", "the end of the line")
         key_columns: list = []
         rules: list = []
-        while True:
-            if i >= len(self.lines):
-                raise MappingParseError(f"entity {name}: unterminated block", len(self.lines))
-            line_no = i + 1
-            line = self.lines[i].strip()
-            i += 1
-            if not line or line.startswith("#"):
-                continue
-            if line == "}":
-                break
-            if match := _KEY_LINE.fullmatch(line):
-                key_columns.extend(
-                    self._check_column(c.strip(), line_no)
-                    for c in match.group(1).split(",")
-                    if c.strip()
-                )
-            elif match := _MAP_LINE.fullmatch(line):
-                rule = self._parse_map(match, line_no)
-                rules.append(rule)
-                if rule.value_kind == "ref":
-                    self.ref_lines.append((name, rule.ref_entity, line_no))
+        while self._next_line() and self.tok[0] != "}":
+            if self._at_word("key"):
+                start, text = self._free_text()
+                key_columns.extend(self._column(c.strip(), start) for c in text.split(",") if c.strip())
+            elif self._at_word("map"):
+                rules.append(self._parse_map(name))
             else:
-                raise MappingParseError(f"cannot parse: {line!r}", line_no)
+                raise self._error(f"expected 'key', 'map' or '}}', got {self._shown()}", self.tok[2])
+        if self.tok[0] != "}":
+            raise self._error(f"entity {name}: unterminated block", self.last)
         if not key_columns:
-            raise MappingParseError(f"entity {name}: missing 'key' declaration", line_no)
-        self.entities.append(EntityRule(name, entity_class, tuple(key_columns), tuple(rules)))
-        return i
+            raise self._error(f"entity {name}: missing 'key' declaration", self.tok[2])
+        self._take()
+        self.entities[name] = EntityRule(name, entity_class, tuple(key_columns), tuple(rules))
 
-    def _parse_map(self, match, line_no: int) -> PropertyRule:
-        column = self._check_column(match.group(1), line_no)
-        predicate = self._resolve(match.group(2), line_no)
-        kind_token = match.group(3)
-        fmt = match.group(4).strip() if match.group(4) else None
-        if kind_token == "string":
-            return PropertyRule(column, predicate, "string")
-        if kind_token.startswith("string@"):
-            if not LANGUAGE_TAG.fullmatch(kind_token[7:]):
-                raise MappingParseError(f"invalid language tag: {kind_token[7:]!r}", line_no)
-            return PropertyRule(column, predicate, "lang-string", language=kind_token[7:])
-        if kind_token == "date":
-            return PropertyRule(column, predicate, "date", date_format=fmt)
-        if kind_token == "decimal":
-            return PropertyRule(column, predicate, "decimal")
-        if kind_token.startswith("ref"):
-            parts = kind_token.split()
-            if len(parts) != 2:
-                raise MappingParseError("ref needs an entity name: 'ref <Entity>'", line_no)
-            return PropertyRule(column, predicate, "ref", ref_entity=parts[1])
-        raise MappingParseError(f"unknown value kind {kind_token!r}", line_no)
+    def _parse_map(self, entity: str) -> PropertyRule:
+        start, text = self._free_text()
+        column, arrow, _ = text.partition("->")
+        if not arrow:
+            raise self._error("expected '->' after the column", start + len(text))
+        self._read_from(start + len(column) + 2)
+        column = self._column(column.strip(), start)
+        predicate = self._iri()
+        if self.tok[:2] != ("pname", ":"):
+            raise self._error(f"expected ':' after the predicate, got {self._shown()}", self.tok[2])
+        self._take()
+        kind, value_kind, offset = self.tok
+        if not self._at_word("string", "date", "decimal", "ref"):
+            raise self._error(f"expected a value kind, got {self._shown()}", offset)
+        language = ref = date_format = None
+        if value_kind == "string" and self.text.startswith("@", offset + 6):
+            # the tag runs to the next space, so that a bad one is quoted whole
+            language = self._word(offset + 7)
+            if not LANGUAGE_TAG.fullmatch(language):
+                raise self._error(f"invalid language tag: {language!r}", offset + 7)
+            value_kind = "lang-string"
+            self._read_from(offset + 7 + len(language))
+        else:
+            self._take()
+        if value_kind == "ref":
+            if self.tok[0] == "eof":
+                raise self._error("ref needs an entity name: 'ref <Entity>'", offset)
+            self.refs.append((entity, self.tok[1], self.tok[2]))
+            ref = self._declared_name("entity")
+        if value_kind == "date" and self._at_word("format"):
+            date_format = self._free_text()[1]
+        else:
+            self._expect("eof", "the end of the line")
+        return PropertyRule(column, predicate, value_kind, language, ref, date_format)
 
 
 def parse_mapping(text: str) -> MappingSpec:
@@ -394,15 +388,12 @@ def read_csv_records(text: str, delimiter: str = ",") -> list:
         raise DingoError(f"line {reader.reader.line_num}: {exc}") from None
 
 
-# a JSON string, skipped whole, or a bracket that opens or closes nesting
-_JSON_NESTING_RE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]', re.DOTALL)
-
-
 def _deepest_nesting(text: str) -> tuple:
     """The deepest nesting level of a JSON text and the offset of the
     bracket that first reaches it."""
     depth = deepest = offset = 0
-    for match in _JSON_NESTING_RE.finditer(text):
+    # a JSON string, skipped whole, or a bracket that opens or closes nesting
+    for match in re.finditer(r'"[^"\\]*(?:\\.[^"\\]*)*"|[\[\]{}]', text, re.DOTALL):
         c = match.group()
         if c in ("[", "{"):
             depth += 1
@@ -421,10 +412,8 @@ def read_json_records(text: str) -> list:
     except RecursionError:
         # the decoder recurses once per nesting level
         depth, offset = _deepest_nesting(text)
-        line, column = line_and_column(text, offset)
-        raise DingoError(
-            f"line {line}, column {column}: JSON nests {depth} levels deep, too deep to read"
-        ) from None
+        reason = f"JSON nests {depth} levels deep, too deep to read"
+        raise PositionedError.at(text, offset, reason) from None
     if not isinstance(data, list):
         raise DingoError("JSON input must be an array of records")
     records = []

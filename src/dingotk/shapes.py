@@ -19,12 +19,13 @@ Shape files are UTF-8 text, one shape per block::
 Value checks: ``any``, ``iri``, ``literal <datatype>``, ``class <class>``,
 ``@ShapeName``. Cardinalities: ``?``, ``*``, ``+``, ``{m}``, ``{m,n}``,
 ``{m,}``; omitted means exactly one. A ``closed`` flag before the block
-forbids predicates outside the constraint list (rdf:type excepted).
+forbids predicates outside the constraint list (rdf:type excepted). IRIs
+and prefixed names read as in Turtle (`turtle.tokenize`), escapes included,
+and every error gives its line and column.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from importlib import resources
@@ -32,27 +33,25 @@ from typing import Optional
 
 from .ontology import OntologySchema, UnknownClassError
 from .terms import (
-    DingoError,
+    DECLARED_NAME,
     Graph,
     IRI,
     Literal,
-    PREFIX_NAME,
+    PositionedError,
     RDF_TYPE,
     Term,
-    read_iri_token,
     term_sort_key,
 )
+from .turtle import TokenReader
 
 UNBOUNDED = None
 
 
-class ShapeParseError(DingoError):
-    def __init__(self, message: str, line: int) -> None:
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+class ShapeParseError(PositionedError):
+    pass
 
 
-class ShapeRefError(DingoError):
+class ShapeRefError(PositionedError):
     pass
 
 
@@ -133,175 +132,95 @@ class ValidationReport:
 # shape file parsing
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iri><[^<>\s]*>)
-  | (?P<card>\{\s*[0-9]+\s*(?:,\s*(?:[0-9]+)?\s*)?\})
-  | (?P<punct>[{};])
-  | (?P<ref>@[A-Za-z_][A-Za-z0-9_-]*)
-  | (?P<short>[?*+])
-  | (?P<word>[^\s{};<>@]+)
-    """,
-    re.VERBOSE,
-)
+class _ShapeFileParser(TokenReader):
+    error = ShapeParseError
+    punctuation = "{}?*+@"
 
-
-def _tokenize_shapes(text: str):
-    tokens = []
-    pos = 0
-    line = 1
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ShapeParseError(f"unexpected character {text[pos]!r}", line)
-        kind = match.lastgroup
-        value = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append((kind, value, line))
-        line += value.count("\n")
-        pos = match.end()
-    tokens.append(("eof", "", line))
-    return tokens
-
-
-def _parse_cardinality(kind: str, value: str, line: int) -> tuple:
-    if kind == "short":
-        return {"?": (0, 1), "*": (0, UNBOUNDED), "+": (1, UNBOUNDED)}[value]
-    # the card token is "{m}", "{m,}" or "{m,n}", with optional blanks inside
-    low, comma, high = value[1:-1].partition(",")
-    try:
-        low = int(low)
-        high = int(high) if high.strip() else UNBOUNDED
-    except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-        raise ShapeParseError("cardinality bound has too many digits", line) from None
-    if not comma:
-        return (low, low)
-    if high is not UNBOUNDED and low > high:
-        raise ShapeParseError(f"cardinality {value!r} has min > max", line)
-    return (low, high)
-
-
-class _ShapeFileParser:
-    def __init__(self, text: str) -> None:
-        self.tokens = _tokenize_shapes(text)
-        self.i = 0
-        self.prefixes: dict = {}
-        self.shapes: dict = {}
-        self.target_map: list = []
-
-    def _peek(self):
-        return self.tokens[self.i]
-
-    def _take(self):
-        tok = self.tokens[self.i]
-        if tok[0] != "eof":
-            self.i += 1
-        return tok
-
-    def _parse_iri(self) -> IRI:
-        kind, value, line = self._take()
-        if kind != "iri" and (kind != "word" or ":" not in value):
-            raise ShapeParseError(f"expected an IRI, got {value!r}", line)
-        try:
-            return read_iri_token(value, self.prefixes)
-        except ValueError as exc:
-            raise ShapeParseError(str(exc), line) from None
+    def _next(self) -> None:
+        super()._next()
+        if self.tok[0] == "@" and not DECLARED_NAME.match(self.text, self.tok[2] + 1):
+            raise self._error("unexpected character '@'", self.tok[2])  # no shape name follows
 
     def parse(self) -> ShapeSchema:
-        while True:
-            kind, value, line = self._peek()
-            if kind == "eof":
-                break
-            if kind == "word" and value == "prefix":
+        self.schema = ShapeSchema()
+        self._read_from(0)
+        while self.tok[0] != "eof":
+            if self._at_word("prefix"):
                 self._take()
-                self._parse_prefix()
-            elif kind == "word" and value == "shape":
+                self._prefix_declaration(("iriref", "pname"))
+            elif self._at_word("shape"):
                 self._take()
-                self._parse_shape(line)
+                self._parse_shape()
             else:
-                raise ShapeParseError(f"expected 'shape' or 'prefix', got {value!r}", line)
-        schema = ShapeSchema(self.shapes, self.target_map)
-        _check_references(schema)
-        return schema
+                raise self._error(f"expected 'shape' or 'prefix', got {self._shown()}", self.tok[2])
+        self._check_references(self.schema.shapes, "shape {} references undefined shape @{}", ShapeRefError)
+        return self.schema
 
-    def _parse_prefix(self) -> None:
-        kind, value, line = self._take()
-        if kind != "word" or not value.endswith(":"):
-            raise ShapeParseError(f"expected a prefix name ending in ':', got {value!r}", line)
-        name = value[:-1]
-        if not PREFIX_NAME.fullmatch(name):
-            raise ShapeParseError(f"invalid prefix name: {name!r}", line)
-        self.prefixes[name] = self._parse_iri().value
-
-    def _parse_shape(self, line: int) -> None:
-        kind, name, nline = self._take()
-        if kind != "word" or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_-]*", name):
-            raise ShapeParseError(f"invalid shape name {name!r}", nline)
-        if name in self.shapes:
-            raise ShapeParseError(f"duplicate shape name {name!r}", nline)
+    def _parse_shape(self) -> None:
+        at = self.tok[2]
+        name = self._declared_name("shape", self.schema.shapes)
         target: Optional[IRI] = None
         closed = False
-        while self._peek()[:2] in (("word", "target"), ("word", "closed")):
+        while self._at_word("target", "closed"):
             if self._take()[1] == "target":
-                target = self._parse_iri()
+                target = self._iri()
             else:
                 closed = True
-        _, value, bline = self._take()
-        if value != "{":
-            raise ShapeParseError(f"expected '{{' to open shape body, got {value!r}", bline)
+        self._expect("{", "'{' to open shape body")
         constraints = []
-        while True:
-            value = self._peek()[1]
-            if value == "}":
+        while self.tok[0] != "}":
+            if self.tok[0] == ";":
                 self._take()
-                break
-            if value == ";":
-                self._take()
-                continue
-            constraints.append(self._parse_constraint())
+            else:
+                constraints.append(self._parse_constraint(name))
+        self._take()
         try:
-            shape = Shape(name, tuple(constraints), closed)
+            self.schema.shapes[name] = Shape(name, tuple(constraints), closed)
         except ValueError as exc:
-            raise ShapeParseError(str(exc), line) from None
-        self.shapes[name] = shape
+            raise self._error(str(exc), at) from None
         if target is not None:
-            self.target_map.append((target, name))
+            self.schema.target_map.append((target, name))
 
-    def _parse_constraint(self) -> TripleConstraint:
-        predicate = self._parse_iri()
-        kind, value, line = self._take()
-        if kind == "ref":
-            check = ValueCheck("shape", value[1:])
-        elif kind == "word" and value == "any":
-            check = ANY
-        elif kind == "word" and value == "iri":
-            check = ValueCheck("iri")
-        elif kind == "word" and value == "literal":
-            check = ValueCheck("datatype", self._parse_iri().value)
-        elif kind == "word" and value == "class":
-            check = ValueCheck("class", self._parse_iri().value)
-        else:
-            raise ShapeParseError(f"expected a value check, got {value!r}", line)
-        kind, value, line = self._peek()
-        if kind in ("short", "card"):
+    def _parse_constraint(self, shape: str) -> TripleConstraint:
+        predicate = self._iri()
+        kind, value, offset = self.tok
+        if self.text.startswith("@", offset):
+            # the name is the token after the "@", not the language tag Turtle reads
+            self._read_from(offset + 1)
+            check = ValueCheck("shape", self._declared_name("shape"))
+            self.refs.append((shape, check.argument, offset))
+        elif self._at_word("any", "iri"):
             self._take()
-            low, high = _parse_cardinality(kind, value, line)
-        elif value == "{":  # a "{" here opens a bound that is not "{m}", "{m,}" or "{m,n}"
-            raise ShapeParseError("malformed cardinality", line)
+            check = ANY if value == "any" else ValueCheck("iri")
+        elif self._at_word("literal", "class"):
+            self._take()
+            check = ValueCheck("datatype" if value == "literal" else "class", self._iri().value)
         else:
-            low, high = 1, 1
+            raise self._error(f"expected a value check, got {self._shown()}", offset)
+        low, high = self._parse_cardinality()
         return TripleConstraint(predicate, low, high, check)
 
-
-def _check_references(schema: ShapeSchema) -> None:
-    for shape in schema.shapes.values():
-        for constraint in shape.constraints:
-            if constraint.check.kind == "shape" and constraint.check.argument not in schema.shapes:
-                raise ShapeRefError(
-                    f"shape {shape.name} references undefined shape @{constraint.check.argument}"
-                )
+    def _parse_cardinality(self) -> tuple:
+        kind, _, start = self.tok
+        shorthand = {"?": (0, 1), "*": (0, UNBOUNDED), "+": (1, UNBOUNDED)}.get(kind)
+        if shorthand:
+            self._take()
+            return shorthand
+        if kind != "{":
+            return (1, 1)
+        # "{m}", "{m,}" or "{m,n}", read from the text: ASCII digits and spaces
+        end = self.text.find("}", start) + 1
+        low, comma, high = (b.strip() for b in self.text[start + 1 : end - 1].partition(","))
+        if not end or not all(b.isascii() and b.isdigit() for b in (low, high or "0")):
+            raise self._error("malformed cardinality", start)
+        self._read_from(end)
+        try:
+            low, high = int(low), int(high) if high else UNBOUNDED if comma else int(low)
+        except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
+            raise self._error("cardinality bound has too many digits", start) from None
+        if high is not UNBOUNDED and low > high:
+            raise self._error(f"cardinality {self.text[start:end]!r} has min > max", start)
+        return (low, high)
 
 
 def parse_shapes(text: str) -> ShapeSchema:

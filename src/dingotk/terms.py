@@ -57,6 +57,21 @@ class DingoError(Exception):
     """Base class for all toolkit errors."""
 
 
+class PositionedError(DingoError):
+    """An error in an input text at a 1-based line and column, which its message leads with."""
+
+    def __init__(self, reason: str, line: int, column: int) -> None:
+        self.reason = reason
+        self.line = line
+        self.column = column
+        super().__init__(f"line {line}, column {column}: {reason}")
+
+    @classmethod
+    def at(cls, text: str, offset: int, reason: str, *args) -> "PositionedError":
+        """The error at an offset into text; `args` follow the line and column."""
+        return cls(reason, *line_and_column(text, offset), *args)
+
+
 @contextmanager
 def gc_paused() -> Iterator[None]:
     """Pause cyclic garbage collection for the block, then restore it.
@@ -87,13 +102,14 @@ def gc_paused() -> Iterator[None]:
 _SCHEME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*:")
 # characters that cannot appear inside an IRIREF and would break round-tripping
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
-# these three are matched with fullmatch, so no label, tag or prefix ends in a newline
+# these four are matched with fullmatch, so no label, tag or name ends in a newline
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_-]*")
-# The language tag (Turtle's LANGTAG after its "@") and the prefix name (the
-# text before a colon; "" is the default prefix) that every reader checks.
-# Neither captures a group, so other patterns may embed their `.pattern`.
+# The language tag (Turtle's LANGTAG after its "@"), the name of a shape or an entity, and the
+# prefix name (the text before a colon; "" is the default prefix) that every reader checks.
+# None captures a group, so other patterns may embed their `.pattern`.
 LANGUAGE_TAG = re.compile(r"[A-Za-z]+(?:-[A-Za-z0-9]+)*")
-PREFIX_NAME = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*(?:\.[A-Za-z0-9_-]+)*)?")
+DECLARED_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_-]*")
+PREFIX_NAME = re.compile(rf"(?:{DECLARED_NAME.pattern}(?:\.[A-Za-z0-9_-]+)*)?")
 
 
 def line_and_column(text: str, offset: int) -> tuple[int, int]:
@@ -112,17 +128,6 @@ def expand_name(name: str, prefixes: Mapping[str, str]) -> str:
         return prefixes[prefix] + local
     except KeyError:
         raise ValueError(f"undefined prefix {prefix + ':'!r}") from None
-
-
-def read_iri_token(token: str, prefixes: Mapping[str, str]) -> IRI:
-    """The IRI that a token ``<iri>`` or ``prefix:local`` names.
-
-    ValueError if the prefix is unbound or the IRI is not absolute or valid.
-    """
-    raw = token[1:-1] if token.startswith("<") else expand_name(token, prefixes)
-    if not is_absolute_iri(raw):
-        raise ValueError(f"IRI must be absolute: {raw!r}")
-    return IRI(raw)
 
 
 _CHAR_ESCAPES = {

@@ -19,13 +19,14 @@ from urllib.parse import urljoin
 
 from .terms import (
     BlankNode,
-    DingoError,
+    DECLARED_NAME,
     Graph,
     IRI,
     LANGUAGE_TAG,
     LEXICAL_FORMS,
     Literal,
     PREFIX_NAME,
+    PositionedError,
     RDF_FIRST,
     RDF_LANG_STRING,
     RDF_NIL,
@@ -42,19 +43,15 @@ from .terms import (
     expand_name,
     gc_paused,
     is_absolute_iri,
-    line_and_column,
 )
 
 
-class TurtleParseError(DingoError):
+class TurtleParseError(PositionedError):
     """Syntax error with a 1-based position and the offending token text."""
 
     def __init__(self, message: str, line: int, column: int, token: str = "") -> None:
-        self.line = line
-        self.column = column
         self.token = token
-        suffix = f" (at {token!r})" if token else ""
-        super().__init__(f"line {line}, column {column}: {message}{suffix}")
+        super().__init__(f"{message} (at {token!r})" if token else message, line, column)
 
 
 class UndefinedPrefixError(TurtleParseError):
@@ -155,13 +152,18 @@ def _starts_number(text: str, pos: int) -> bool:
     return c.isdigit() or (c == "." and nxt.isdigit())
 
 
-def _tokenize(text: str) -> Iterator[tuple]:
-    """The tokens of text, ending with "eof", lexed as they are read.
+def tokenize(
+    text: str, start: int = 0, end: Optional[int] = None, punctuation: str = ""
+) -> Iterator[tuple]:
+    """The tokens of text[start:end], ending with "eof", lexed as they are read.
 
-    A lexical error is raised when the reader reaches its token, so errors
-    in earlier tokens are found first.
+    A lexical error is raised when the reader reaches its token, so errors in
+    earlier tokens are found first. Shape and mapping files pass `punctuation`
+    of their own, and read every bare word as a "name" token.
     """
-    for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text).end()):
+    if end is None:
+        end = len(text)
+    for m in _TOKEN_RE.finditer(text, _SKIP_RE.match(text, start, end).end(), end):
         group = m.lastgroup
         raw = m[group]
         pos = m.start()
@@ -173,6 +175,8 @@ def _tokenize(text: str) -> Iterator[tuple]:
             value = _unescape(raw)
             if ":" in value:
                 kind = "pname"
+            elif punctuation:
+                kind = "name"
             elif value == "a":
                 kind = "a"
             elif value in ("true", "false"):
@@ -202,18 +206,17 @@ def _tokenize(text: str) -> Iterator[tuple]:
         elif group == "datatype":
             kind, value = "^^", None
         elif group == "error":
-            raise _diagnose(text, pos)
+            if raw not in punctuation:
+                raise _diagnose(text, pos)
+            kind, value = raw, None
         else:
             kind, value = group, raw
         yield kind, value, pos
     # the last token took the whitespace and comments after it
-    yield "eof", None, len(text)
+    yield "eof", None, end
 
 
-def _error_at(
-    text: str, offset: int, message: str, token: str = "", cls: type = TurtleParseError
-) -> TurtleParseError:
-    return cls(message, *line_and_column(text, offset), token)
+_error_at = TurtleParseError.at  # the lexer's error: (text, offset, message[, token])
 
 
 _BODY_RUN = {
@@ -300,6 +303,95 @@ def _escape_error(text: str, backslash: int, in_iri: bool) -> Optional[TurtlePar
     return None
 
 
+class TokenReader:
+    """Reads a format in Turtle's tokens: shape and mapping files. `tok` is the
+    token not yet consumed of the text from the offset last given to
+    `_read_from` up to `end`; a subclass names its error and punctuation."""
+
+    error: type = PositionedError
+    punctuation = ""
+
+    def __init__(self, text: str) -> None:
+        self.text = text
+        self.end: Optional[int] = None  # None: the end of the text
+        self.prefixes: dict[str, str] = {}
+        self.refs: list = []  # (owner, referenced name, offset), checked once all names are declared
+
+    def _read_from(self, pos: int) -> None:
+        self._next_token = tokenize(self.text, pos, self.end, self.punctuation).__next__
+        self._next()
+
+    def _next(self) -> None:
+        try:
+            self.tok = self._next_token()
+        except TurtleParseError as exc:  # a lexical error is the format's error too
+            raise self.error(exc.reason, exc.line, exc.column) from None
+
+    def _take(self) -> tuple:
+        tok = self.tok
+        if tok[0] != "eof":
+            self._next()
+        return tok
+
+    def _error(self, message: str, offset: int, cls: Optional[type] = None) -> PositionedError:
+        return (cls or self.error).at(self.text, offset, message)
+
+    def _at_word(self, *words: str) -> bool:
+        return self.tok[0] == "name" and self.tok[1] in words
+
+    def _shown(self) -> str:
+        kind, value, _ = self.tok
+        return "nothing" if kind == "eof" else repr(kind if value is None else value)
+
+    def _word(self, offset: int) -> str:
+        # the text up to the next space, which an error quotes as it was written
+        return (self.text[offset : self.end].split(None, 1) or [""])[0]
+
+    def _expect(self, kind: str, what: str) -> tuple:
+        if self.tok[0] != kind:
+            raise self._error(f"expected {what}, got {self._shown()}", self.tok[2])
+        return self._take()
+
+    def _declared_name(self, what: str, declared=()) -> str:
+        kind, name, offset = self.tok
+        if kind != "name" or not DECLARED_NAME.fullmatch(name):
+            raise self._error(f"invalid {what} name {self._word(offset)!r}", offset)
+        if name in declared:
+            raise self._error(f"duplicate {what} name {name!r}", offset)
+        self._take()
+        return name
+
+    def _iri(self, kinds: tuple = ("iriref", "pname"), what: str = "an IRI") -> IRI:
+        kind, value, offset = self.tok
+        if kind not in kinds:
+            raise self._error(f"expected {what}, got {self._shown()}", offset)
+        try:
+            raw = value if kind == "iriref" else expand_name(value, self.prefixes)
+            if not is_absolute_iri(raw):  # there is no base to resolve it against
+                raise ValueError(f"IRI must be absolute: {raw!r}")
+            iri = IRI(raw)
+        except ValueError as exc:
+            raise self._error(str(exc), offset) from None
+        self._take()
+        return iri
+
+    def _check_references(self, declared, message: str, cls: Optional[type] = None) -> None:
+        for owner, name, offset in self.refs:
+            if name not in declared:
+                raise self._error(message.format(owner, name), offset, cls)
+
+    def _prefix_declaration(self, kinds: tuple) -> None:
+        # `NAME: IRI` after a `prefix` keyword, the IRI a token of one of `kinds`
+        kind, value, offset = self.tok
+        name = value if kind == "pname" else self._word(offset)
+        if not name.endswith(":"):
+            raise self._error(f"expected a prefix name ending in ':', got {name!r}", offset)
+        if kind != "pname" or not PREFIX_NAME.fullmatch(name[:-1]):
+            raise self._error(f"invalid prefix name: {name[:-1]!r}", offset)
+        self._take()
+        self.prefixes[name[:-1]] = self._iri(kinds, "a namespace IRI").value
+
+
 # the literals Turtle writes bare: the datatype of each token kind, and the
 # lexical form of each datatype
 _SHORTHAND_DATATYPES = {
@@ -322,7 +414,7 @@ class _Parser:
 
     def __init__(self, text: str, base: Optional[str]) -> None:
         self.text = text
-        self._next_token = _tokenize(text).__next__
+        self._next_token = tokenize(text).__next__
         self.tok: tuple = self._next_token()
         self.base = base
         self.prefixes: dict[str, str] = {}
@@ -345,8 +437,7 @@ class _Parser:
         return tok
 
     def _error(self, message: str, tok: tuple, cls: type = TurtleParseError) -> TurtleParseError:
-        kind, value, offset = tok
-        return _error_at(self.text, offset, message, kind if value is None else value, cls)
+        return cls.at(self.text, tok[2], message, tok[0] if tok[1] is None else tok[1])
 
     # -- blank node bookkeeping --------------------------------------------
 
@@ -409,18 +500,12 @@ class _Parser:
             kind = self.tok[0]
             if kind == "eof":
                 return
-            if kind == "at_prefix":
+            if kind in ("at_prefix", "sparql_prefix"):
                 self.tok = self._next_token()
-                self._parse_prefix_decl(dotted=True)
-            elif kind == "at_base":
+                self._parse_prefix_decl(dotted=kind == "at_prefix")
+            elif kind in ("at_base", "sparql_base"):
                 self.tok = self._next_token()
-                self._parse_base_decl(dotted=True)
-            elif kind == "sparql_prefix":
-                self.tok = self._next_token()
-                self._parse_prefix_decl(dotted=False)
-            elif kind == "sparql_base":
-                self.tok = self._next_token()
-                self._parse_base_decl(dotted=False)
+                self._parse_base_decl(dotted=kind == "at_base")
             else:
                 self._parse_triples()
                 self._expect(".", "'.' after triples")

@@ -2,7 +2,7 @@
 earlier order, numbers before punctuation and names, each token read with
 `Pattern.match` at the position where the last one ended.
 
-`turtle._tokenize` must yield exactly these tokens and raise exactly these
+`turtle.tokenize` must yield exactly these tokens and raise exactly these
 errors. The sub-patterns inside each alternative, the error diagnosis and
 the unescaping are imported, not copied: they are the same code on both
 sides, so only the order of the alternatives and the loop are compared.

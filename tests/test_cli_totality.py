@@ -7,9 +7,11 @@ deletions and insertions, and fed to the commands that read Turtle,
 `query temporal-check` included; a `convert` that exits 2 must name the
 line and column of its error. Mapping files, shape files and CSV
 and JSON tables are generated and mutated the same way and fed to `ingest`
-(with `--delimiter` and `--base`) and `validate --shapes`. Whole argument
-lists are drawn from command names, flags, the bundled files, a file that is
-not UTF-8 and junk text.
+(with `--delimiter` and `--base`) and `validate --shapes`. A `validate
+--shapes` of valid data, and an `ingest` of each mapping over an empty
+table, that exits 2 must name the line and column of the shape or mapping
+file's error too. Whole argument lists are drawn from command names, flags,
+the bundled files, a file that is not UTF-8 and junk text.
 """
 
 import contextlib
@@ -177,13 +179,15 @@ def test_every_command_ends_in_an_exit_code(document):
             assert_exit_code(argv)
 
 
-def assert_exit_code(argv) -> None:
+def assert_exit_code(argv, positioned: bool = False) -> None:
+    """Runs argv; with `positioned` (always for `convert`), an exit 2 must
+    name the line and column of its input error."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(argv)
     assert code in ({0, 1, 2, 3} if may_exit_1(argv) else {0, 2, 3}), argv
     assert "Traceback" not in err.getvalue()
-    if argv[0] == "convert" and code == 2:  # every Turtle input error is positioned
+    if code == 2 and (positioned or argv[0] == "convert"):
         assert re.match(r"error: line [0-9]+, column [0-9]+: ", err.getvalue()), err.getvalue()
 
 
@@ -272,6 +276,10 @@ def run_ingest(mapping, suffix, table, options) -> None:
         mapping_path.write_text(mapping, encoding="utf-8")
         table_path.write_text(table, encoding="utf-8")
         assert_exit_code(["ingest", str(table_path), "--mapping", str(mapping_path), *options])
+        # over an empty table, only the mapping can be at fault
+        empty = Path(tmp) / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert_exit_code(["ingest", str(empty), "--mapping", str(mapping_path)], positioned=True)
 
 
 THING_MAPPING = "prefix d: <http://x/>\nbase <http://x/>\ncolumns id, name\nentity T d:T {\nkey id\n}\n"
@@ -334,8 +342,9 @@ def test_validate_with_generated_shapes_ends_in_an_exit_code(shapes):
         data, shape_file = Path(tmp) / "data.ttl", Path(tmp) / "s.shapes"
         data.write_text(SHAPE_DATA, encoding="utf-8")
         shape_file.write_text(shapes, encoding="utf-8")
-        assert_exit_code(["validate", str(data), "--shapes", str(shape_file)])
-        assert_exit_code(["validate", str(data), "--shapes", str(shape_file), "--format", "json"])
+        # the data and the ontology read cleanly, so an exit 2 is the shape file's
+        assert_exit_code(["validate", str(data), "--shapes", str(shape_file)], positioned=True)
+        assert_exit_code(["validate", str(data), "--shapes", str(shape_file), "--format", "json"], positioned=True)
 
 
 # -- random argv: command names, flags, bundled files and junk ----------------

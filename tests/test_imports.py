@@ -1,8 +1,9 @@
 """Import boundaries: `import dingotk` loads no submodule, each CLI command
 loads only the modules it runs, no module reaches into a sibling's private
 names or imports a name it never uses, only `terms` reads a graph's index
-layout or spells the name forms and the position arithmetic, and no regex
-literal ends in a "$" anchor.
+layout or spells the name forms and the position arithmetic, the shape and
+mapping readers compile no pattern at import, and no regex literal ends in a
+"$" anchor.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
@@ -19,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import dingotk
-from dingotk.terms import LANGUAGE_TAG, PREFIX_NAME
+from dingotk.terms import DECLARED_NAME, LANGUAGE_TAG, PREFIX_NAME
 
 SRC = Path(dingotk.__file__).resolve().parents[1]
 DATA = SRC / "dingotk" / "data"
@@ -211,10 +212,51 @@ def test_only_terms_reads_the_graph_index_layout(path):
     "path", sorted(p for p in (SRC / "dingotk").glob("*.py") if p.name != "terms.py"), ids=lambda p: p.name
 )
 def test_only_terms_spells_the_name_forms_and_the_position_arithmetic(path):
-    # readers embed `PREFIX_NAME.pattern` and `LANGUAGE_TAG.pattern` and call `line_and_column`
+    # readers embed the `.pattern` of `PREFIX_NAME`, `LANGUAGE_TAG` and
+    # `DECLARED_NAME`, and call `line_and_column`
     source = path.read_text("utf-8")
-    for text in (PREFIX_NAME.pattern, LANGUAGE_TAG.pattern, 'rfind("\\n"'):
+    for text in (PREFIX_NAME.pattern, LANGUAGE_TAG.pattern, DECLARED_NAME.pattern, 'rfind("\\n"'):
         assert text not in source
+
+
+def module_level_compiles(source: str) -> list:
+    """Calls to `re.compile` that run when the module is imported: outside
+    every function body."""
+    found = []
+    pending = list(ast.parse(source).body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "compile"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "re"
+        ):
+            found.append(f"line {node.lineno}: re.compile")
+        pending.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_the_compile_check_sees_module_and_class_level_calls_only():
+    source = (
+        "import re\n"
+        "A = re.compile('a')\n"
+        "class C:\n"
+        "    B = {'b': re.compile('b')}\n"
+        "    def f(self):\n"
+        "        return re.compile('c')\n"
+        "g = lambda: re.compile('d')\n"
+    )
+    assert sorted(module_level_compiles(source)) == ["line 2: re.compile", "line 4: re.compile"]
+
+
+@pytest.mark.parametrize("name", ["shapes.py", "ingest.py"])
+def test_the_shape_and_mapping_readers_compile_no_pattern_at_import(name):
+    # they read Turtle's tokens, whose pattern `turtle` compiles
+    assert module_level_compiles((SRC / "dingotk" / name).read_text("utf-8")) == []
 
 
 def unused_imports(source: str) -> list:

@@ -113,54 +113,55 @@ def test_missing_base_is_an_error():
 
 
 @pytest.mark.parametrize(
-    "old, new, line, message",
+    "old, new, line, column, message",
     [
-        ("map name -> d:title", "map name -> nope:title", 8, "undefined prefix 'nope:'"),
-        ("entity Thing d:Project", "entity Thing nope:Project", 6, "undefined prefix 'nope:'"),
-        ("map name -> d:title", "map name -> <title>", 8, "IRI must be absolute: 'title'"),
-        # a prefix is expanded, and checked, where it is used
-        (f"prefix d: <{DINGO_BASE}>", "prefix d: <dingo#>", 6, "IRI must be absolute: 'dingo#Project'"),
-        ("base <http://ex.org/data/>", "base <data/>", 3, "base must be an absolute IRI: 'data/'"),
+        ("map name -> d:title", "map name -> nope:title", 8, 17, "undefined prefix 'nope:'"),
+        ("entity Thing d:Project", "entity Thing nope:Project", 6, 14, "undefined prefix 'nope:'"),
+        ("map name -> d:title", "map name -> <title>", 8, 17, "IRI must be absolute: 'title'"),
+        # a namespace is checked on its own prefix line, as in shape files and
+        # Turtle, whether or not a name uses it
+        (f"prefix d: <{DINGO_BASE}>", "prefix d: <dingo#>", 2, 11, "IRI must be absolute: 'dingo#'"),
+        ("columns", "prefix x: <rel/>\ncolumns", 4, 11, "IRI must be absolute: 'rel/'"),
+        ("base <http://ex.org/data/>", "base <data/>", 3, 6, "base must be an absolute IRI: 'data/'"),
         (
             "base <http://ex.org/data/>",
             "base <http://ex.org/gr{ants/>",
             3,
+            6,
             "IRI contains forbidden character '{': 'http://ex.org/gr{ants/'",
         ),
     ],
 )
-def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, message):
+def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, column, message):
     assert old in MINIMAL
     with pytest.raises(MappingParseError) as err:
         parse_mapping(MINIMAL.replace(old, new))
-    assert str(err.value) == f"line {line}: {message}"
-    assert err.value.line == line
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 @pytest.mark.parametrize(
-    "old, new, line, message",
+    "old, new, line, column, message",
     [
-        ("entity Thing d:Project {\n    key id\n    map name -> d:title : string\n}\n", "", 5,
+        ("entity Thing d:Project {\n    key id\n    map name -> d:title : string\n}\n", "", 5, 1,
          "mapping declares no entities"),
-        ("}\n", "", 8, "entity Thing: unterminated block"),
-        ("    key id\n", "", 8, "entity Thing: missing 'key' declaration"),
-        (": string", ": ref", 8, "ref needs an entity name: 'ref <Entity>'"),
+        ("}\n", "", 8, 33, "entity Thing: unterminated block"),
+        ("    key id\n", "", 8, 1, "entity Thing: missing 'key' declaration"),
+        (": string", ": ref", 8, 27, "ref needs an entity name: 'ref <Entity>'"),
         # names outside the prefix-name and language-tag forms that Turtle reads
-        (f"prefix d: <{DINGO_BASE}>", f"prefix d.: <{DINGO_BASE}>", 2,
-         f"cannot parse: 'prefix d.: <{DINGO_BASE}>'"),
-        (f"prefix d: <{DINGO_BASE}>", f"prefix dé: <{DINGO_BASE}>", 2,
-         f"cannot parse: 'prefix dé: <{DINGO_BASE}>'"),
-        (": string", ": string@en-", 8, "invalid language tag: 'en-'"),
-        (": string", ": string@", 8, "invalid language tag: ''"),
-        (": string", ": string@é", 8, "invalid language tag: 'é'"),
+        (f"prefix d: <{DINGO_BASE}>", f"prefix d.: <{DINGO_BASE}>", 2, 8, "invalid prefix name: 'd.'"),
+        (f"prefix d: <{DINGO_BASE}>", f"prefix dé: <{DINGO_BASE}>", 2, 8, "invalid prefix name: 'dé'"),
+        (": string", ": string@en-", 8, 34, "invalid language tag: 'en-'"),
+        (": string", ": string@", 8, 34, "invalid language tag: ''"),
+        (": string", ": string@é", 8, 34, "invalid language tag: 'é'"),
     ],
 )
-def test_mapping_structure_errors_name_their_line(old, new, line, message):
+def test_mapping_structure_errors_name_their_line(old, new, line, column, message):
     assert old in MINIMAL
     with pytest.raises(MappingParseError) as err:
         parse_mapping(MINIMAL.replace(old, new))
-    assert str(err.value) == f"line {line}: {message}"
-    assert err.value.line == line
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_mapping_reads_the_prefix_names_and_language_tags_that_turtle_reads():

@@ -127,64 +127,65 @@ def test_syntax_error_carries_line():
 def test_min_greater_than_max_rejected():
     with pytest.raises(ShapeParseError) as err:
         parse_shapes(f"shape S target <{EX}C> {{\n <{EX}p> any {{3,1}} }}")
-    assert str(err.value) == "line 2: cardinality '{3,1}' has min > max"
-    assert err.value.line == 2
+    assert str(err.value) == "line 2, column 24: cardinality '{3,1}' has min > max"
+    assert (err.value.line, err.value.column) == (2, 24)
 
 
 def test_undefined_prefix_in_shape_file():
-    for text, line in [
-        ("shape S target nope:C { }", 1),
-        ("prefix ex: <http://ex.org/>\nshape S {\n ex:p class nope:C }", 3),
+    for text, line, column in [
+        ("shape S target nope:C { }", 1, 16),
+        ("prefix ex: <http://ex.org/>\nshape S {\n ex:p class nope:C }", 3, 13),
     ]:
         with pytest.raises(ShapeParseError) as err:
             parse_shapes(text)
-        assert str(err.value) == f"line {line}: undefined prefix 'nope:'"
-        assert err.value.line == line
+        assert str(err.value) == f"line {line}, column {column}: undefined prefix 'nope:'"
+        assert (err.value.line, err.value.column) == (line, column)
 
 
 @pytest.mark.parametrize(
-    "text, line, message",
+    "text, line, column, message",
     [
-        ("shape S target <C> { }", 1, "IRI must be absolute: 'C'"),
-        ("shape S {\n\n <p> any }", 3, "IRI must be absolute: 'p'"),
-        ("\nprefix ex: <rel/>", 2, "IRI must be absolute: 'rel/'"),
-        (f"shape S target <{EX}a{{b> {{ }}", 1, f"IRI contains forbidden character '{{': '{EX}a{{b'"),
-        ("shape S target C { }", 1, "expected an IRI, got 'C'"),
+        ("shape S target <C> { }", 1, 16, "IRI must be absolute: 'C'"),
+        ("shape S {\n\n <p> any }", 3, 2, "IRI must be absolute: 'p'"),
+        ("\nprefix ex: <rel/>", 2, 12, "IRI must be absolute: 'rel/'"),
+        (f"shape S target <{EX}a{{b> {{ }}", 1, 16, f"IRI contains forbidden character '{{': '{EX}a{{b'"),
+        ("shape S target C { }", 1, 16, "expected an IRI, got 'C'"),
     ],
 )
-def test_unresolvable_iri_in_shape_file(text, line, message):
+def test_unresolvable_iri_in_shape_file(text, line, column, message):
     with pytest.raises(ShapeParseError) as err:
         parse_shapes(text)
-    assert str(err.value) == f"line {line}: {message}"
-    assert err.value.line == line
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 @pytest.mark.parametrize(
-    "text, line, message",
+    "text, line, column, message",
     [
-        ("shape 1bad { }", 1, "invalid shape name '1bad'"),
-        ("shape S { }\nshape S { }", 2, "duplicate shape name 'S'"),
-        (f"shape S target <{EX}C>\n ;", 2, "expected '{' to open shape body, got ';'"),
-        ("shape S {\n < }", 2, "unexpected character '<'"),
-        ("shape S {\n @1 }", 2, "unexpected character '@'"),
+        ("shape 1bad { }", 1, 7, "invalid shape name '1bad'"),
+        ("shape S { }\nshape S { }", 2, 7, "duplicate shape name 'S'"),
+        (f"shape S target <{EX}C>\n ;", 2, 2, "expected '{' to open shape body, got ';'"),
+        # a "<" opens an IRI, which Turtle's lexer reads to its first fault
+        ("shape S {\n < }", 2, 5, "unterminated IRI"),
+        ("shape S {\n @1 }", 2, 2, "unexpected character '@'"),
         # cardinality bounds are ASCII digits; "\u0662" is an Arabic-Indic two
-        (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, "malformed cardinality"),
-        (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, "malformed cardinality"),
-        (f"shape S {{\n <{EX}p> any {{x}} }}", 2, "malformed cardinality"),
-        (f"shape S {{ <{EX}p> any\n\n {{1,x}} }}", 3, "malformed cardinality"),
-        (f"shape S {{ <{EX}p> iri {{\n 1 }} ; <{EX}q> any {{ }} }}", 2, "malformed cardinality"),
+        (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, 24, "malformed cardinality"),
+        (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, 24, "malformed cardinality"),
+        (f"shape S {{\n <{EX}p> any {{x}} }}", 2, 24, "malformed cardinality"),
+        (f"shape S {{ <{EX}p> any\n\n {{1,x}} }}", 3, 2, "malformed cardinality"),
+        (f"shape S {{ <{EX}p> iri {{\n 1 }} ; <{EX}q> any {{ }} }}", 2, 30, "malformed cardinality"),
         # prefix names outside the form that Turtle reads
         *(
-            (f"shape S {{ }}\nprefix {name}: <{EX}>", 2, f"invalid prefix name: {name!r}")
+            (f"shape S {{ }}\nprefix {name}: <{EX}>", 2, 8, f"invalid prefix name: {name!r}")
             for name in ["1x.", "d.", "dé", "-a", "a:b", "a..b"]
         ),
     ],
 )
-def test_shape_file_syntax_errors_name_their_line(text, line, message):
+def test_shape_file_syntax_errors_name_their_line(text, line, column, message):
     with pytest.raises(ShapeParseError) as err:
         parse_shapes(text)
-    assert str(err.value) == f"line {line}: {message}"
-    assert err.value.line == line
+    assert str(err.value) == f"line {line}, column {column}: {message}"
+    assert (err.value.line, err.value.column) == (line, column)
 
 
 def test_prefix_names_are_those_turtle_reads():
@@ -202,8 +203,8 @@ def test_cardinality_past_the_int_digit_limit_names_its_line(card):
     if 0 < limit < len(digits):
         with pytest.raises(ShapeParseError) as err:
             parse_shapes(text)
-        assert str(err.value) == "line 2: cardinality bound has too many digits"
-        assert err.value.line == 2
+        assert str(err.value) == "line 2, column 24: cardinality bound has too many digits"
+        assert (err.value.line, err.value.column) == (2, 24)
     else:
         (constraint,) = parse_shapes(text).shapes["S"].constraints
         assert int(digits) in (constraint.min_count, constraint.max_count)

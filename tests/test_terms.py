@@ -30,7 +30,6 @@ from dingotk.terms import (
     expand_name,
     gc_paused,
     line_and_column,
-    read_iri_token,
     term_sort_key,
     triple_sort_key,
 )
@@ -62,21 +61,6 @@ def test_expand_name_splits_at_the_first_colon():
     assert expand_name(":", prefixes) == "urn:x:"
     with pytest.raises(ValueError, match=r"^undefined prefix 'nope:'$"):
         expand_name("nope:a", prefixes)
-
-
-def test_read_iri_token_reads_bracketed_and_prefixed_iris():
-    prefixes = {"ex": EX, "": "urn:x:"}
-    assert read_iri_token(f"<{EX}a>", prefixes) == IRI(EX + "a")
-    assert read_iri_token("ex:a:b", prefixes) == IRI(EX + "a:b")
-    assert read_iri_token(":", prefixes) == IRI("urn:x:")
-    for token, message in [
-        ("nope:a", "undefined prefix 'nope:'"),
-        ("<rel/>", "IRI must be absolute: 'rel/'"),
-        (f"<{EX}a b>", f"IRI contains forbidden character ' ': '{EX}a b'"),
-    ]:
-        with pytest.raises(ValueError) as err:
-            read_iri_token(token, prefixes)
-        assert str(err.value) == message
 
 
 def test_blank_label_rules():

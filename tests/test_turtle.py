@@ -27,10 +27,10 @@ from dingotk.turtle import (
     RelativeIriError,
     TurtleParseError,
     UndefinedPrefixError,
-    _tokenize,
     parse_turtle,
     serialize_turtle,
     term_renderer,
+    tokenize,
     turtle_chunks,
 )
 from dingotk.isomorphism import graph_isomorphic
@@ -507,7 +507,7 @@ def test_tokenizer_reads_what_the_reference_order_reads(text):
     # most texts end at an early error, so each suffix is read too, and every
     # position starts a token
     for start in range(len(text)):
-        assert _lexed(_tokenize, text[start:]) == _lexed(reference_tokenize, text[start:])
+        assert _lexed(tokenize, text[start:]) == _lexed(reference_tokenize, text[start:])
 
 
 @pytest.mark.parametrize(
@@ -515,7 +515,7 @@ def test_tokenizer_reads_what_the_reference_order_reads(text):
     [embedded("dingo.ttl"), embedded("example_instances.ttl"), *(row[0] for row in LEXER_ERRORS)],
 )
 def test_tokenizer_reads_the_bundled_files_and_error_rows_as_the_reference_does(text):
-    assert _lexed(_tokenize, text) == _lexed(reference_tokenize, text)
+    assert _lexed(tokenize, text) == _lexed(reference_tokenize, text)
 
 
 def test_a_lexical_error_is_found_without_searching_past_it():

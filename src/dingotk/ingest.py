@@ -18,9 +18,13 @@ Value kinds: ``string``, ``string@<lang>``, ``date`` (ISO year / year-month /
 full date, or ``format <strptime-pattern>`` for anything else), ``decimal``
 and ``ref <Entity>`` (mints the referenced entity's IRI from the cell value).
 Empty cells emit nothing; conversion failures skip the cell and land in the
-report instead of aborting the row. IRIs and prefixed names read as in
-Turtle, escapes included; ``columns``, ``key``, a map's column and a date
-``format`` are free text to the line's end. Errors give line and column.
+report instead of aborting the row. IRIs, prefixed names and ``prefix``
+lines read as in Turtle (`turtle.TokenReader`), escapes included; ``base``
+is only where minted IRIs start, so a relative IRI is ``relative IRI '...'
+without a base``. ``columns``, ``key``, a map's column and a date
+``format`` are free text to the line's end. Errors have Turtle's form,
+``line N, column M: reason (at 'token')``, as do those of a CSV or JSON
+table that does not read.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ from .terms import (
     XSD_GYEARMONTH,
     XSD_INTEGER,
     XSD_STRING,
-    is_absolute_iri,
 )
 from .turtle import TokenReader
 
@@ -179,44 +182,44 @@ class _MappingParser(TokenReader):
         start = self.tok[2] + len(self.tok[1])
         rest = self.text[start : self.end]
         if not rest[:1].isspace() or not rest.strip():
-            raise self._error(f"expected text after {self.tok[1]!r}", start)
+            raise self._error_at(f"expected text after {self.tok[1]!r}", start)
         return start + len(rest) - len(rest.lstrip()), rest.strip()
 
     def _column(self, column: str, offset: int) -> str:
-        if column not in self.columns:
-            raise self._error(f"undeclared column {column!r}", offset)
+        if column not in self.declared:
+            raise self._error_at(f"undeclared column {column!r}", offset)
         return column
 
     def parse(self) -> MappingSpec:
         self.end = -1  # before the first line
         self.last = len(self.text) - self.text.endswith("\n")  # the end of the last line
-        self.base: Optional[str] = None
-        self.columns: list = []
+        self.mint_base: Optional[str] = None  # the base of minted IRIs; no IRI resolves against it
+        self.columns: list = []  # in order, with repeats
+        self.declared: set = set()  # the same columns, for lookups
         self.entities: dict = {}  # name -> EntityRule, in the order declared
         while self._next_line():
             if self._at_word("columns"):
-                self.columns.extend(c.strip() for c in self._free_text()[1].split(",") if c.strip())
+                columns = [c.strip() for c in self._free_text()[1].split(",") if c.strip()]
+                self.columns.extend(columns)
+                self.declared.update(columns)
                 continue
             if not self._at_word("prefix", "base", "entity"):
-                raise self._error(f"expected a declaration, got {self._shown()}", self.tok[2])
+                raise self._error("expected a declaration", self.tok)
             keyword = self._take()[1]
             if keyword == "prefix":
-                self._prefix_declaration(("iriref",))
+                self._prefix_directive()
             elif keyword == "base":
-                kind, value, offset = self.tok
-                if kind == "iriref" and not is_absolute_iri(value):
-                    raise self._error(f"base must be an absolute IRI: {value!r}", offset)
-                self.base = self._iri(("iriref",), "a base IRI").value
+                self.mint_base = self._iri("base IRI", ("iriref",)).value
             else:
                 self._parse_entity()
             self._expect("eof", "the end of the line")
-        if self.base is None:
-            raise self._error("missing 'base <iri>' declaration", self.last)
+        if self.mint_base is None:
+            raise self._error_at("missing 'base <iri>' declaration", self.last)
         if not self.entities:
-            raise self._error("mapping declares no entities", self.last)
+            raise self._error_at("mapping declares no entities", self.last)
         self._check_references(self.entities, "entity {}: ref to undeclared entity {!r}")
         return MappingSpec(
-            base_iri=self.base,
+            base_iri=self.mint_base,
             entities=tuple(self.entities.values()),
             columns=tuple(self.columns),
             prefixes=dict(self.prefixes),
@@ -236,11 +239,11 @@ class _MappingParser(TokenReader):
             elif self._at_word("map"):
                 rules.append(self._parse_map(name))
             else:
-                raise self._error(f"expected 'key', 'map' or '}}', got {self._shown()}", self.tok[2])
+                raise self._error("expected 'key', 'map' or '}'", self.tok)
         if self.tok[0] != "}":
-            raise self._error(f"entity {name}: unterminated block", self.last)
+            raise self._error_at(f"entity {name}: unterminated block", self.last)
         if not key_columns:
-            raise self._error(f"entity {name}: missing 'key' declaration", self.tok[2])
+            raise self._error_at(f"entity {name}: missing 'key' declaration", self.tok[2])
         self._take()
         self.entities[name] = EntityRule(name, entity_class, tuple(key_columns), tuple(rules))
 
@@ -248,29 +251,29 @@ class _MappingParser(TokenReader):
         start, text = self._free_text()
         column, arrow, _ = text.partition("->")
         if not arrow:
-            raise self._error("expected '->' after the column", start + len(text))
+            raise self._error_at("expected '->' after the column", start + len(text))
         self._read_from(start + len(column) + 2)
         column = self._column(column.strip(), start)
         predicate = self._iri()
         if self.tok[:2] != ("pname", ":"):
-            raise self._error(f"expected ':' after the predicate, got {self._shown()}", self.tok[2])
+            raise self._error("expected ':' after the predicate", self.tok)
         self._take()
         kind, value_kind, offset = self.tok
         if not self._at_word("string", "date", "decimal", "ref"):
-            raise self._error(f"expected a value kind, got {self._shown()}", offset)
+            raise self._error("expected a value kind", self.tok)
         language = ref = date_format = None
         if value_kind == "string" and self.text.startswith("@", offset + 6):
             # the tag runs to the next space, so that a bad one is quoted whole
             language = self._word(offset + 7)
             if not LANGUAGE_TAG.fullmatch(language):
-                raise self._error(f"invalid language tag: {language!r}", offset + 7)
+                raise self._error_at(f"invalid language tag: {language!r}", offset + 7)
             value_kind = "lang-string"
             self._read_from(offset + 7 + len(language))
         else:
             self._take()
         if value_kind == "ref":
             if self.tok[0] == "eof":
-                raise self._error("ref needs an entity name: 'ref <Entity>'", offset)
+                raise self._error_at("ref needs an entity name: 'ref <Entity>'", offset)
             self.refs.append((entity, self.tok[1], self.tok[2]))
             ref = self._declared_name("entity")
         if value_kind == "date" and self._at_word("format"):
@@ -377,7 +380,8 @@ def read_csv_records(text: str, delimiter: str = ",") -> list:
     """RFC-4180 CSV with a header row, as a list of dicts.
 
     A line the `csv` module cannot read, such as one with a field longer than
-    its process-wide `csv.field_size_limit()`, is a `DingoError` naming it.
+    its process-wide `csv.field_size_limit()`, is a `PositionedError` at
+    column 1 of the line the module names.
     """
     reader = csv.DictReader(io.StringIO(text.lstrip("﻿")), delimiter=delimiter)
     try:
@@ -385,7 +389,7 @@ def read_csv_records(text: str, delimiter: str = ",") -> list:
             return []
         return [dict(row) for row in reader]
     except csv.Error as exc:
-        raise DingoError(f"line {reader.reader.line_num}: {exc}") from None
+        raise PositionedError(str(exc), reader.reader.line_num, 1) from None
 
 
 def _deepest_nesting(text: str) -> tuple:
@@ -405,10 +409,13 @@ def _deepest_nesting(text: str) -> tuple:
 
 
 def read_json_records(text: str) -> list:
-    """JSON array of flat records; scalars are coerced to strings."""
+    """JSON array of flat records; scalars are coerced to strings. A text that
+    is not JSON is a `PositionedError` where the decoder found the fault."""
     text = text.lstrip("﻿")
     try:
         data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PositionedError(exc.msg, exc.lineno, exc.colno) from None
     except RecursionError:
         # the decoder recurses once per nesting level
         depth, offset = _deepest_nesting(text)

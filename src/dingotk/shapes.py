@@ -19,9 +19,11 @@ Shape files are UTF-8 text, one shape per block::
 Value checks: ``any``, ``iri``, ``literal <datatype>``, ``class <class>``,
 ``@ShapeName``. Cardinalities: ``?``, ``*``, ``+``, ``{m}``, ``{m,n}``,
 ``{m,}``; omitted means exactly one. A ``closed`` flag before the block
-forbids predicates outside the constraint list (rdf:type excepted). IRIs
-and prefixed names read as in Turtle (`turtle.tokenize`), escapes included,
-and every error gives its line and column.
+forbids predicates outside the constraint list (rdf:type excepted). IRIs,
+prefixed names and ``prefix`` lines read as in Turtle (`turtle.TokenReader`),
+escapes included; there is no base, so a relative IRI is ``relative IRI
+'...' without a base``. Every error has Turtle's form, ``line N, column M:
+reason (at 'token')``, its `token` empty where no one token is at fault.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class _ShapeFileParser(TokenReader):
     def _next(self) -> None:
         super()._next()
         if self.tok[0] == "@" and not DECLARED_NAME.match(self.text, self.tok[2] + 1):
-            raise self._error("unexpected character '@'", self.tok[2])  # no shape name follows
+            raise self._error("unexpected character '@'", self.tok)  # no shape name follows
 
     def parse(self) -> ShapeSchema:
         self.schema = ShapeSchema()
@@ -147,12 +149,12 @@ class _ShapeFileParser(TokenReader):
         while self.tok[0] != "eof":
             if self._at_word("prefix"):
                 self._take()
-                self._prefix_declaration(("iriref", "pname"))
+                self._prefix_directive()
             elif self._at_word("shape"):
                 self._take()
                 self._parse_shape()
             else:
-                raise self._error(f"expected 'shape' or 'prefix', got {self._shown()}", self.tok[2])
+                raise self._error("expected 'shape' or 'prefix'", self.tok)
         self._check_references(self.schema.shapes, "shape {} references undefined shape @{}", ShapeRefError)
         return self.schema
 
@@ -177,7 +179,7 @@ class _ShapeFileParser(TokenReader):
         try:
             self.schema.shapes[name] = Shape(name, tuple(constraints), closed)
         except ValueError as exc:
-            raise self._error(str(exc), at) from None
+            raise self._error_at(str(exc), at) from None
         if target is not None:
             self.schema.target_map.append((target, name))
 
@@ -196,7 +198,7 @@ class _ShapeFileParser(TokenReader):
             self._take()
             check = ValueCheck("datatype" if value == "literal" else "class", self._iri().value)
         else:
-            raise self._error(f"expected a value check, got {self._shown()}", offset)
+            raise self._error("expected a value check", self.tok)
         low, high = self._parse_cardinality()
         return TripleConstraint(predicate, low, high, check)
 
@@ -212,14 +214,14 @@ class _ShapeFileParser(TokenReader):
         end = self.text.find("}", start) + 1
         low, comma, high = (b.strip() for b in self.text[start + 1 : end - 1].partition(","))
         if not end or not all(b.isascii() and b.isdigit() for b in (low, high or "0")):
-            raise self._error("malformed cardinality", start)
+            raise self._error_at("malformed cardinality", start)
         self._read_from(end)
         try:
             low, high = int(low), int(high) if high else UNBOUNDED if comma else int(low)
         except ValueError:  # more digits than int() converts (sys.get_int_max_str_digits)
-            raise self._error("cardinality bound has too many digits", start) from None
+            raise self._error_at("cardinality bound has too many digits", start) from None
         if high is not UNBOUNDED and low > high:
-            raise self._error(f"cardinality {self.text[start:end]!r} has min > max", start)
+            raise self._error_at(f"cardinality {self.text[start:end]!r} has min > max", start)
         return (low, high)
 
 

@@ -58,18 +58,22 @@ class DingoError(Exception):
 
 
 class PositionedError(DingoError):
-    """An error in an input text at a 1-based line and column, which its message leads with."""
+    """An error in an input text at a 1-based line and column, which its message
+    leads with, and at the text of a token, if one is given, which it ends with:
+    ``line N, column M: reason (at 'token')``."""
 
-    def __init__(self, reason: str, line: int, column: int) -> None:
+    def __init__(self, reason: str, line: int, column: int, token: str = "") -> None:
         self.reason = reason
         self.line = line
         self.column = column
-        super().__init__(f"line {line}, column {column}: {reason}")
+        self.token = token
+        at = f" (at {token!r})" if token else ""
+        super().__init__(f"line {line}, column {column}: {reason}{at}")
 
     @classmethod
-    def at(cls, text: str, offset: int, reason: str, *args) -> "PositionedError":
-        """The error at an offset into text; `args` follow the line and column."""
-        return cls(reason, *line_and_column(text, offset), *args)
+    def at(cls, text: str, offset: int, reason: str, token: str = "") -> "PositionedError":
+        """The error at an offset into text."""
+        return cls(reason, *line_and_column(text, offset), token)
 
 
 @contextmanager

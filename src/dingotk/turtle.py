@@ -9,6 +9,9 @@ through without Unicode normalization.
 Parsing renames every blank node to b0, b1, ... in first-appearance order;
 serialization is a pure function of the triple set and prefix map, so equal
 graphs always produce byte-identical Turtle.
+
+`TokenReader` reads Turtle, shape files and mapping files with one prefix
+directive, IRI resolver and error form, ``line N, column M: reason (at 'token')``.
 """
 
 from __future__ import annotations
@@ -47,11 +50,7 @@ from .terms import (
 
 
 class TurtleParseError(PositionedError):
-    """Syntax error with a 1-based position and the offending token text."""
-
-    def __init__(self, message: str, line: int, column: int, token: str = "") -> None:
-        self.token = token
-        super().__init__(f"{message} (at {token!r})" if token else message, line, column)
+    """Turtle syntax error."""
 
 
 class UndefinedPrefixError(TurtleParseError):
@@ -88,15 +87,25 @@ _NAME = rf"(?:[\w%:-]|{_NAME_ESCAPE})[\w%:.-]*(?:(?:{_NAME_ESCAPE})[\w%:.-]*)*(?
 _SKIP = r"(?:[ \t\r\n]+|\#[^\n]*)*"
 
 
+# The body of each IRI and string token, between its opening and closing
+# delimiters, keyed by its opener. A body takes every valid escape, so its
+# match stops at the first fault of a token that does not complete.
+_BODIES = {
+    "<": rf"[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*",
+    **{q: rf"[^{q}\\\n\r]*(?:(?:{_STRING_ESCAPE})[^{q}\\\n\r]*)*" for q in "\"'"},
+    # a quote is content unless exactly two more follow it: quotes beyond the
+    # closing three of a run belong to the content
+    **{q * 3: rf"[^{q}\\]*(?:(?:{_STRING_ESCAPE}|{q}(?!{q}{q}(?!{q})))[^{q}\\]*)*" for q in "\"'"},
+}
+
+
 def _short_string(q: str) -> str:
     # three quotes open a long string, even when that does not complete
-    return rf"(?!{q}{q}{q}){q}[^{q}\\\n\r]*(?:(?:{_STRING_ESCAPE})[^{q}\\\n\r]*)*{q}"
+    return rf"(?!{q}{q}{q}){q}{_BODIES[q]}{q}"
 
 
 def _long_string(q: str) -> str:
-    # a quote is content unless exactly two more follow it: quotes beyond the
-    # closing three of a run belong to the content
-    return rf"{q}{q}{q}[^{q}\\]*(?:(?:{_STRING_ESCAPE}|{q}(?!{q}{q}(?!{q})))[^{q}\\]*)*{q}{q}{q}"
+    return q * 3 + _BODIES[q * 3] + q * 3
 
 
 # One alternative per terminal, each followed by the whitespace and comments
@@ -112,7 +121,7 @@ _TOKEN_RE = re.compile(
     (?:
         (?P<name>(?=[^\W\d]|[:%])(?!_:){_NAME})
       | (?P<punct>[;,\[\]()]|\.(?![0-9]))
-      | (?P<iriref><[^>\n\\]*(?:(?:{_UCHAR})[^>\n\\]*)*>)
+      | (?P<iriref><{_BODIES['<']}>)
       | (?P<long_string>{_long_string('"')}|{_long_string("'")})
       | (?P<string>{_short_string('"')}|{_short_string("'")})
       | (?P<at>@{LANGUAGE_TAG.pattern})
@@ -216,16 +225,9 @@ def tokenize(
     yield "eof", None, end
 
 
-_error_at = TurtleParseError.at  # the lexer's error: (text, offset, message[, token])
+_lex_error = TurtleParseError.at  # the lexer's error: (text, offset, message[, token])
 
 
-_BODY_RUN = {
-    "<": re.compile(r"[^>\n\\]*"),
-    '"': re.compile(r'[^"\\\n\r]*'),
-    "'": re.compile(r"[^'\\\n\r]*"),
-    '"""': re.compile(r'[^"\\]*'),
-    "'''": re.compile(r"[^'\\]*"),
-}
 _HEX_RUN = re.compile(r"[0-9a-fA-F]*")
 _NAME_RE = re.compile(_NAME)
 _DOTS_THEN_BACKSLASH = re.compile(r"\.*\\")
@@ -244,78 +246,68 @@ def _diagnose(text: str, pos: int) -> TurtleParseError:
     if c in "\"'":
         return _body_error(text, pos, c * 3 if text.startswith(c * 3, pos) else c)
     if c == "@":
-        return _error_at(text, pos + 1, "expected language tag or directive after '@'")
+        return _lex_error(text, pos + 1, "expected language tag or directive after '@'")
     if c == "^":
-        return _error_at(text, pos, "unexpected '^'", "^")
+        return _lex_error(text, pos, "unexpected '^'", "^")
     if _starts_number(text, pos):
-        return _error_at(text, pos, "malformed number")
+        return _lex_error(text, pos, "malformed number")
     if c == "_" and nxt == ":":
-        return _error_at(text, pos + 2, "empty blank node label")
+        return _lex_error(text, pos + 2, "empty blank node label")
     if c.isalnum() or c in "_-%:\\":
         name = _NAME_RE.match(text, pos)
         escape = _DOTS_THEN_BACKSLASH.match(text, name.end() if name else pos)
         if escape:
             backslash = escape.end() - 1
             letter = text[backslash + 1 : backslash + 2]
-            return _error_at(text, backslash, f"invalid name escape '\\{letter}'")
-        return _error_at(text, pos, "unexpected bare word", _unescape(name[0]))
-    return _error_at(text, pos, f"unexpected character {c!r}", c)
+            return _lex_error(text, backslash, f"invalid name escape '\\{letter}'")
+        return _lex_error(text, pos, "unexpected bare word", _unescape(name[0]))
+    return _lex_error(text, pos, f"unexpected character {c!r}", c)
 
 
 def _body_error(text: str, pos: int, opener: str) -> TurtleParseError:
-    # the first fault inside the IRI or string whose opener starts at pos
-    run = _BODY_RUN[opener]
-    p = pos + len(opener)
-    while True:
-        p = run.match(text, p).end()
-        if text.startswith("\\", p):
-            error = _escape_error(text, p, opener == "<")
-            if error:
-                return error
-            p += {"u": 6, "U": 10}.get(text[p + 1], 2)
-        elif len(opener) == 3 and text.startswith(opener[0], p):
-            p += 1  # fewer than three quotes in a row are content
-        elif opener == "<":
+    # the first fault inside the IRI or string whose opener starts at pos:
+    # where its body stops, an escape that it rejects or a missing closer
+    p = re.compile(_BODIES[opener]).match(text, pos + len(opener)).end()
+    letter = text[p + 1 : p + 2]
+    if not text.startswith("\\", p):
+        if opener == "<":
             message = "newline inside IRI" if text.startswith("\n", p) else "unterminated IRI"
-            return _error_at(text, p, message)
-        elif len(opener) == 1:
-            return _error_at(text, p, "unterminated string")
         else:
-            return _error_at(text, p, "unterminated triple-quoted string")
-
-
-def _escape_error(text: str, backslash: int, in_iri: bool) -> Optional[TurtleParseError]:
-    letter = text[backslash + 1 : backslash + 2]
+            message = "unterminated string" if len(opener) == 1 else "unterminated triple-quoted string"
+        return _lex_error(text, p, message)
     if letter in ("u", "U"):
-        end = backslash + (6 if letter == "u" else 10)
-        digits = _HEX_RUN.match(text, backslash + 2, end).end()
+        end = p + (6 if letter == "u" else 10)
+        digits = _HEX_RUN.match(text, p + 2, end).end()
         if digits < end:
-            return _error_at(text, digits, "truncated numeric escape")
-        code = int(text[backslash + 2 : end], 16)
-        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            escape = text[backslash:end]
-            return _error_at(text, backslash, f"numeric escape '{escape}' is not a Unicode character")
-        return None
-    if in_iri:
-        return _error_at(text, backslash + 1, f"invalid escape '\\{letter}' in IRI")
-    if letter not in _ESCAPES:
-        return _error_at(text, backslash + 1, f"invalid string escape '\\{letter}'")
-    return None
+            return _lex_error(text, digits, "truncated numeric escape")
+        return _lex_error(text, p, f"numeric escape '{text[p:end]}' is not a Unicode character")
+    if opener == "<":
+        return _lex_error(text, p + 1, f"invalid escape '\\{letter}' in IRI")
+    return _lex_error(text, p + 1, f"invalid string escape '\\{letter}'")
 
 
 class TokenReader:
-    """Reads a format in Turtle's tokens: shape and mapping files. `tok` is the
-    token not yet consumed of the text from the offset last given to
-    `_read_from` up to `end`; a subclass names its error and punctuation."""
+    """Reads Turtle, shape files or mapping files in Turtle's tokens. `tok` is
+    the token not yet consumed of the text from the offset last given to
+    `_read_from` up to `end`. A subclass names its punctuation and its errors:
+    `error`, and for an undefined prefix and a relative IRI with no `base`
+    `prefix_error` and `relative_error`, each `error` where it is None."""
 
     error: type = PositionedError
+    prefix_error: Optional[type] = None
+    relative_error: Optional[type] = None
     punctuation = ""
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.end: Optional[int] = None  # None: the end of the text
+        self.base: Optional[str] = None  # what relative IRIs resolve against; None: they are errors
         self.prefixes: dict[str, str] = {}
         self.refs: list = []  # (owner, referenced name, offset), checked once all names are declared
+        # one term object per distinct IRI, keyed by the resolved string, so
+        # each is built and validated once and equal terms are identical,
+        # which set and dict lookups test first
+        self._iris: dict[str, IRI] = {t.value: t for t in (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL)}
 
     def _read_from(self, pos: int) -> None:
         self._next_token = tokenize(self.text, pos, self.end, self.punctuation).__next__
@@ -325,7 +317,7 @@ class TokenReader:
         try:
             self.tok = self._next_token()
         except TurtleParseError as exc:  # a lexical error is the format's error too
-            raise self.error(exc.reason, exc.line, exc.column) from None
+            raise self.error(exc.reason, exc.line, exc.column, exc.token) from None
 
     def _take(self) -> tuple:
         tok = self.tok
@@ -333,15 +325,14 @@ class TokenReader:
             self._next()
         return tok
 
-    def _error(self, message: str, offset: int, cls: Optional[type] = None) -> PositionedError:
+    def _error(self, message: str, tok: tuple, cls: Optional[type] = None) -> PositionedError:
+        return (cls or self.error).at(self.text, tok[2], message, tok[0] if tok[1] is None else tok[1])
+
+    def _error_at(self, message: str, offset: int, cls: Optional[type] = None) -> PositionedError:
         return (cls or self.error).at(self.text, offset, message)
 
     def _at_word(self, *words: str) -> bool:
         return self.tok[0] == "name" and self.tok[1] in words
-
-    def _shown(self) -> str:
-        kind, value, _ = self.tok
-        return "nothing" if kind == "eof" else repr(kind if value is None else value)
 
     def _word(self, offset: int) -> str:
         # the text up to the next space, which an error quotes as it was written
@@ -349,47 +340,67 @@ class TokenReader:
 
     def _expect(self, kind: str, what: str) -> tuple:
         if self.tok[0] != kind:
-            raise self._error(f"expected {what}, got {self._shown()}", self.tok[2])
+            raise self._error(f"expected {what}", self.tok)
         return self._take()
 
     def _declared_name(self, what: str, declared=()) -> str:
         kind, name, offset = self.tok
         if kind != "name" or not DECLARED_NAME.fullmatch(name):
-            raise self._error(f"invalid {what} name {self._word(offset)!r}", offset)
+            raise self._error_at(f"invalid {what} name {self._word(offset)!r}", offset)
         if name in declared:
-            raise self._error(f"duplicate {what} name {name!r}", offset)
+            raise self._error_at(f"duplicate {what} name {name!r}", offset)
         self._take()
         return name
 
-    def _iri(self, kinds: tuple = ("iriref", "pname"), what: str = "an IRI") -> IRI:
-        kind, value, offset = self.tok
-        if kind not in kinds:
-            raise self._error(f"expected {what}, got {self._shown()}", offset)
-        try:
-            raw = value if kind == "iriref" else expand_name(value, self.prefixes)
-            if not is_absolute_iri(raw):  # there is no base to resolve it against
-                raise ValueError(f"IRI must be absolute: {raw!r}")
-            iri = IRI(raw)
-        except ValueError as exc:
-            raise self._error(str(exc), offset) from None
-        self._take()
+    def _resolve(self, tok: tuple) -> IRI:
+        """The IRI of an "iriref" or "pname" token, a prefixed name expanded
+        and a relative IRI resolved against `base`."""
+        value = tok[1]
+        if tok[0] == "pname":
+            try:
+                value = expand_name(value, self.prefixes)
+            except ValueError as exc:
+                raise self._error(str(exc), tok, self.prefix_error) from None
+        # every key of _iris is absolute, so a hit needs no resolving
+        iri = self._iris.get(value)
+        if iri is None:
+            if not is_absolute_iri(value):
+                if self.base is None:
+                    raise self._error(f"relative IRI {value!r} without a base", tok, self.relative_error)
+                value = urljoin(self.base, value)
+            iri = self._iris.get(value)
+            if iri is None:
+                try:
+                    iri = self._iris[value] = IRI(value)
+                except ValueError as exc:
+                    raise self._error(str(exc), tok) from None
+        return iri
+
+    def _iri(self, what: str = "an IRI", kinds: tuple = ("iriref", "pname")) -> IRI:
+        tok = self.tok
+        if tok[0] not in kinds:
+            raise self._error(f"expected {what}", tok)
+        iri = self._resolve(tok)
+        self._next()
         return iri
 
     def _check_references(self, declared, message: str, cls: Optional[type] = None) -> None:
         for owner, name, offset in self.refs:
             if name not in declared:
-                raise self._error(message.format(owner, name), offset, cls)
+                raise self._error_at(message.format(owner, name), offset, cls)
 
-    def _prefix_declaration(self, kinds: tuple) -> None:
-        # `NAME: IRI` after a `prefix` keyword, the IRI a token of one of `kinds`
-        kind, value, offset = self.tok
-        name = value if kind == "pname" else self._word(offset)
-        if not name.endswith(":"):
-            raise self._error(f"expected a prefix name ending in ':', got {name!r}", offset)
-        if kind != "pname" or not PREFIX_NAME.fullmatch(name[:-1]):
-            raise self._error(f"invalid prefix name: {name[:-1]!r}", offset)
-        self._take()
-        self.prefixes[name[:-1]] = self._iri(kinds, "a namespace IRI").value
+    def _prefix_directive(self) -> None:
+        # `NAME: <IRI>` after the keyword of a prefix directive
+        tok = self.tok
+        if tok[0] != "pname":
+            raise self._error("expected prefix name", tok)
+        prefix, _, local = tok[1].partition(":")
+        if local:
+            raise self._error("prefix declaration must end with ':'", tok)
+        if not PREFIX_NAME.fullmatch(prefix):
+            raise self._error(f"invalid prefix name: {prefix!r}", tok)
+        self._next()
+        self.prefixes[prefix] = self._iri("namespace IRI", ("iriref",)).value
 
 
 # the literals Turtle writes bare: the datatype of each token kind, and the
@@ -403,8 +414,8 @@ _SHORTHAND_DATATYPES = {
 _SHORTHAND_FORMS = {dt: LEXICAL_FORMS[dt] for dt in _SHORTHAND_DATATYPES.values()}
 
 
-class _Parser:
-    """Reads the tokens one at a time; `tok` is the one not yet consumed.
+class _Parser(TokenReader):
+    """Turtle's grammar, reading the tokens one at a time.
 
     Every check on a token runs before the parser moves past it, so the
     first error in document order is the one raised, grammatical or lexical.
@@ -412,32 +423,19 @@ class _Parser:
     it happens; it never runs on "eof", whose kind each caller checks first.
     """
 
+    error = TurtleParseError
+    prefix_error = UndefinedPrefixError
+    relative_error = RelativeIriError
+
     def __init__(self, text: str, base: Optional[str]) -> None:
-        self.text = text
-        self._next_token = tokenize(text).__next__
-        self.tok: tuple = self._next_token()
+        super().__init__(text)
         self.base = base
-        self.prefixes: dict[str, str] = {}
         self.triples: list[Triple] = []
         self._blank_by_label: dict[str, BlankNode] = {}
         self._blank_count = 0
-        # one term object per distinct IRI (keyed by the resolved string) and
-        # per distinct literal, so each is built and validated once and
-        # equal terms are identical, which set and dict lookups test first
-        self._iris: dict[str, IRI] = {t.value: t for t in (RDF_TYPE, RDF_FIRST, RDF_REST, RDF_NIL)}
+        # one term object per distinct literal, as `_iris` holds for IRIs
         self._literals: dict[Literal, Literal] = {}
-
-    # -- token plumbing ----------------------------------------------------
-
-    def _expect(self, kind: str, what: str) -> tuple:
-        tok = self.tok
-        if tok[0] != kind:
-            raise self._error(f"expected {what}", tok)
-        self.tok = self._next_token()
-        return tok
-
-    def _error(self, message: str, tok: tuple, cls: type = TurtleParseError) -> TurtleParseError:
-        return cls.at(self.text, tok[2], message, tok[0] if tok[1] is None else tok[1])
+        self._read_from(0)
 
     # -- blank node bookkeeping --------------------------------------------
 
@@ -453,16 +451,6 @@ class _Parser:
 
     # -- terms -------------------------------------------------------------
 
-    def _iri(self, value: str, tok: tuple) -> IRI:
-        iri = self._iris.get(value)
-        if iri is None:
-            try:
-                iri = IRI(value)
-            except ValueError as exc:
-                raise self._error(str(exc), tok) from None
-            self._iris[value] = iri
-        return iri
-
     def _literal(self, lexical: str, datatype: str, language: Optional[str], tok: tuple) -> Literal:
         key = (lexical, datatype, language)
         literal = self._literals.get(key)
@@ -475,24 +463,6 @@ class _Parser:
             self._literals[literal] = literal
         return literal
 
-    def _resolve_iri(self, raw: str, tok: tuple) -> IRI:
-        # every key of _iris is absolute, so a hit needs no resolving
-        iri = self._iris.get(raw)
-        if iri is not None:
-            return iri
-        if not is_absolute_iri(raw):
-            if self.base is None:
-                raise self._error(f"relative IRI {raw!r} without a base", tok, RelativeIriError)
-            raw = urljoin(self.base, raw)
-        return self._iri(raw, tok)
-
-    def _expand_pname(self, tok: tuple) -> IRI:
-        try:
-            value = expand_name(tok[1], self.prefixes)
-        except ValueError as exc:
-            raise self._error(str(exc), tok, UndefinedPrefixError) from None
-        return self._iri(value, tok)
-
     # -- grammar -----------------------------------------------------------
 
     def parse_document(self) -> None:
@@ -502,40 +472,17 @@ class _Parser:
                 return
             if kind in ("at_prefix", "sparql_prefix"):
                 self.tok = self._next_token()
-                self._parse_prefix_decl(dotted=kind == "at_prefix")
+                self._prefix_directive()
+                if kind == "at_prefix":
+                    self._expect(".", "'.' after @prefix")
             elif kind in ("at_base", "sparql_base"):
                 self.tok = self._next_token()
-                self._parse_base_decl(dotted=kind == "at_base")
+                self.base = self._iri("base IRI", ("iriref",)).value
+                if kind == "at_base":
+                    self._expect(".", "'.' after @base")
             else:
                 self._parse_triples()
                 self._expect(".", "'.' after triples")
-
-    def _parse_prefix_decl(self, dotted: bool) -> None:
-        name = self.tok
-        if name[0] != "pname":
-            raise self._error("expected prefix name", name)
-        prefix, _, local = name[1].partition(":")
-        if local:
-            raise self._error("prefix declaration must end with ':'", name)
-        if not PREFIX_NAME.fullmatch(prefix):
-            raise self._error(f"invalid prefix name: {prefix!r}", name)
-        self.tok = self._next_token()
-        self.prefixes[prefix] = self._take_iriref("namespace IRI").value
-        if dotted:
-            self._expect(".", "'.' after @prefix")
-
-    def _parse_base_decl(self, dotted: bool) -> None:
-        self.base = self._take_iriref("base IRI").value
-        if dotted:
-            self._expect(".", "'.' after @base")
-
-    def _take_iriref(self, what: str) -> IRI:
-        tok = self.tok
-        if tok[0] != "iriref":
-            raise self._error(f"expected {what}", tok)
-        iri = self._resolve_iri(tok[1], tok)
-        self.tok = self._next_token()
-        return iri
 
     def _parse_triples(self) -> None:
         """One statement, up to but not including its '.'.
@@ -611,10 +558,8 @@ class _Parser:
         kind = tok[0]
         if kind == "a":
             verb = RDF_TYPE
-        elif kind == "iriref":
-            verb = self._resolve_iri(tok[1], tok)
-        elif kind == "pname":
-            verb = self._expand_pname(tok)
+        elif kind in ("iriref", "pname"):
+            verb = self._resolve(tok)
         else:
             raise self._error("expected predicate", tok)
         self.tok = self._next_token()
@@ -624,10 +569,8 @@ class _Parser:
         """A term that opens no nesting: IRI, prefixed name, labelled blank or literal."""
         tok = self.tok
         kind = tok[0]
-        if kind == "iriref":
-            term: Term = self._resolve_iri(tok[1], tok)
-        elif kind == "pname":
-            term = self._expand_pname(tok)
+        if kind in ("iriref", "pname"):
+            term: Term = self._resolve(tok)
         elif kind == "blank":
             term = self._labeled_blank(tok[1])
         elif kind == "string":
@@ -648,13 +591,9 @@ class _Parser:
         elif tok[0] == "^^":
             self.tok = self._next_token()
             tok = self.tok
-            if tok[0] == "iriref":
-                datatype = self._resolve_iri(tok[1], tok)
-            elif tok[0] == "pname":
-                datatype = self._expand_pname(tok)
-            else:
+            if tok[0] not in ("iriref", "pname"):
                 raise self._error("expected datatype IRI after '^^'", tok)
-            literal = self._literal(lexical, datatype.value, None, tok)
+            literal = self._literal(lexical, self._resolve(tok).value, None, tok)
         else:
             return self._literal(lexical, XSD_STRING, None, string_tok)
         self.tok = self._next_token()

@@ -519,7 +519,18 @@ def test_ingest_oversized_csv_cell_is_a_positioned_input_error(tmp_path, capsys)
     assert run(["ingest", str(table), "--mapping", str(mapping)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: line 3: field larger than field limit (131072)\n"
+    assert captured.err == "error: line 3, column 1: field larger than field limit (131072)\n"
+
+
+def test_ingest_malformed_json_is_a_positioned_input_error(tmp_path, capsys):
+    records = tmp_path / "bad.json"
+    records.write_text('[{"id": "a",}]', encoding="utf-8")
+    mapping = tmp_path / "m.mapping"
+    mapping.write_text(THING_MAPPING, encoding="utf-8")
+    assert run(["ingest", str(records), "--mapping", str(mapping)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 1, column 13: Expecting property name enclosed in double quotes\n"
 
 
 def test_docgen_writes_linked_html(tmp_path, capsys):

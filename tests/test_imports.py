@@ -2,8 +2,8 @@
 loads only the modules it runs, no module reaches into a sibling's private
 names or imports a name it never uses, only `terms` reads a graph's index
 layout or spells the name forms and the position arithmetic, the shape and
-mapping readers compile no pattern at import, and no regex literal ends in a
-"$" anchor.
+mapping readers compile no pattern at import, only `turtle` expands prefixed
+names or resolves relative IRIs, and no regex literal ends in a "$" anchor.
 
 The subprocess checks start fresh interpreters, because this test process
 has long since imported every module.
@@ -257,6 +257,47 @@ def test_the_compile_check_sees_module_and_class_level_calls_only():
 def test_the_shape_and_mapping_readers_compile_no_pattern_at_import(name):
     # they read Turtle's tokens, whose pattern `turtle` compiles
     assert module_level_compiles((SRC / "dingotk" / name).read_text("utf-8")) == []
+
+
+# what resolves an IRI token: `turtle.TokenReader._resolve` alone calls them
+RESOLVERS = {"expand_name", "urljoin"}
+
+
+def resolver_calls(source: str) -> list:
+    """Calls of `expand_name` or `urljoin`, bare or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in RESOLVERS:
+                found.append(f"line {node.lineno}: calls {name}")
+    return found
+
+
+def test_the_resolver_check_sees_bare_and_attribute_calls():
+    source = (
+        "from urllib.parse import urljoin\n"
+        "from . import terms\n"
+        "a = urljoin(base, raw)\n"
+        "b = terms.expand_name(name, prefixes)\n"
+        "c = expand_name\n"
+        "d = urllib.parse.urljoin(x, y)\n"
+    )
+    assert resolver_calls(source) == [
+        "line 3: calls urljoin",
+        "line 4: calls expand_name",
+        "line 6: calls urljoin",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in (SRC / "dingotk").glob("*.py") if p.name != "turtle.py"), ids=lambda p: p.name
+)
+def test_only_turtle_resolves_iris(path):
+    # the three readers expand prefixed names and resolve relative IRIs in
+    # one place, so each reads a name or IRI as the others do
+    assert resolver_calls(path.read_text("utf-8")) == []
 
 
 def unused_imports(source: str) -> list:

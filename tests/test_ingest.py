@@ -1,6 +1,7 @@
 import csv
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,6 +24,7 @@ from dingotk.terms import (
     DingoError,
     IRI,
     Literal,
+    PositionedError,
     RDF_LANG_STRING,
     RDF_TYPE,
     Triple,
@@ -99,6 +101,17 @@ def test_duplicate_entity_is_reported_at_the_second_header():
     assert err.value.line == text.splitlines().index("entity Thing d:Grant {") + 1
 
 
+def test_a_key_over_many_declared_columns_parses_in_linear_time():
+    # each key column is looked up among the declared ones, which a list
+    # scan made quadratic: 2*10^4 columns took 2.2 s
+    columns = ", ".join(f"c{i}" for i in range(40_000))
+    text = f"base <http://ex.org/data/>\ncolumns {columns}\nentity Thing <http://x/C> {{\n    key {columns}\n}}\n"
+    start = time.process_time()
+    spec = parse_mapping(text)
+    assert time.process_time() - start < 1.0
+    assert len(spec.entities[0].key_columns) == len(spec.columns) == 40_000
+
+
 def test_undeclared_column_is_an_error():
     text = MINIMAL.replace("map name", "map nickname")
     with pytest.raises(MappingParseError) as err:
@@ -115,20 +128,21 @@ def test_missing_base_is_an_error():
 @pytest.mark.parametrize(
     "old, new, line, column, message",
     [
-        ("map name -> d:title", "map name -> nope:title", 8, 17, "undefined prefix 'nope:'"),
-        ("entity Thing d:Project", "entity Thing nope:Project", 6, 14, "undefined prefix 'nope:'"),
-        ("map name -> d:title", "map name -> <title>", 8, 17, "IRI must be absolute: 'title'"),
+        ("map name -> d:title", "map name -> nope:title", 8, 17, "undefined prefix 'nope:' (at 'nope:title')"),
+        ("entity Thing d:Project", "entity Thing nope:Project", 6, 14, "undefined prefix 'nope:' (at 'nope:Project')"),
+        ("map name -> d:title", "map name -> <title>", 8, 17, "relative IRI 'title' without a base (at 'title')"),
         # a namespace is checked on its own prefix line, as in shape files and
         # Turtle, whether or not a name uses it
-        (f"prefix d: <{DINGO_BASE}>", "prefix d: <dingo#>", 2, 11, "IRI must be absolute: 'dingo#'"),
-        ("columns", "prefix x: <rel/>\ncolumns", 4, 11, "IRI must be absolute: 'rel/'"),
-        ("base <http://ex.org/data/>", "base <data/>", 3, 6, "base must be an absolute IRI: 'data/'"),
+        (f"prefix d: <{DINGO_BASE}>", "prefix d: <dingo#>", 2, 11, "relative IRI 'dingo#' without a base (at 'dingo#')"),
+        ("columns", "prefix x: <rel/>\ncolumns", 4, 11, "relative IRI 'rel/' without a base (at 'rel/')"),
+        # the base that minted IRIs start with is no base to resolve against
+        ("base <http://ex.org/data/>", "base <data/>", 3, 6, "relative IRI 'data/' without a base (at 'data/')"),
         (
             "base <http://ex.org/data/>",
             "base <http://ex.org/gr{ants/>",
             3,
             6,
-            "IRI contains forbidden character '{': 'http://ex.org/gr{ants/'",
+            "IRI contains forbidden character '{': 'http://ex.org/gr{ants/' (at 'http://ex.org/gr{ants/')",
         ),
     ],
 )
@@ -149,8 +163,8 @@ def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, column, messag
         ("    key id\n", "", 8, 1, "entity Thing: missing 'key' declaration"),
         (": string", ": ref", 8, 27, "ref needs an entity name: 'ref <Entity>'"),
         # names outside the prefix-name and language-tag forms that Turtle reads
-        (f"prefix d: <{DINGO_BASE}>", f"prefix d.: <{DINGO_BASE}>", 2, 8, "invalid prefix name: 'd.'"),
-        (f"prefix d: <{DINGO_BASE}>", f"prefix dé: <{DINGO_BASE}>", 2, 8, "invalid prefix name: 'dé'"),
+        (f"prefix d: <{DINGO_BASE}>", f"prefix d.: <{DINGO_BASE}>", 2, 8, "invalid prefix name: 'd.' (at 'd.:')"),
+        (f"prefix d: <{DINGO_BASE}>", f"prefix dé: <{DINGO_BASE}>", 2, 8, "invalid prefix name: 'dé' (at 'dé:')"),
         (": string", ": string@en-", 8, 34, "invalid language tag: 'en-'"),
         (": string", ": string@", 8, 34, "invalid language tag: ''"),
         (": string", ": string@é", 8, 34, "invalid language tag: 'é'"),
@@ -506,8 +520,10 @@ def test_read_csv_custom_delimiter():
 )
 def test_read_csv_oversized_cell_is_a_positioned_error(text, line):
     limit = csv.field_size_limit()
-    with pytest.raises(DingoError, match=f"^line {line}: field larger than field limit"):
+    with pytest.raises(PositionedError) as err:
         read_csv_records(text)
+    assert str(err.value) == f"line {line}, column 1: field larger than field limit ({limit})"
+    assert (err.value.line, err.value.column) == (line, 1)
     assert csv.field_size_limit() == limit  # the process-wide limit is left alone
 
 
@@ -516,13 +532,29 @@ def test_read_csv_nul_byte_reads_or_is_a_positioned_error():
     if sys.version_info >= (3, 11):  # the csv module accepts NUL from 3.11 on
         assert read_csv_records(text) == [{"a": "1", "b": "\x002"}]
     else:
-        with pytest.raises(DingoError, match="^line 2: line contains NUL"):
+        with pytest.raises(PositionedError, match="^line 2, column 1: line contains NUL"):
             read_csv_records(text)
 
 
 def test_read_json_records_scalar_coercion():
     rows = read_json_records('[{"a": 1, "b": true, "c": null, "d": "x"}]')
     assert rows == [{"a": "1", "b": "true", "c": "", "d": "x"}]
+
+
+@pytest.mark.parametrize(
+    "text, line, column, reason",
+    [
+        ('[{"id": "a",}]', 1, 13, "Expecting property name enclosed in double quotes"),
+        ('[\n  {"id": "a"}\n  {"id": "b"}]', 3, 3, "Expecting ',' delimiter"),
+        ("", 1, 1, "Expecting value"),
+        ('[{"id": "a"}] x', 1, 15, "Extra data"),
+    ],
+)
+def test_read_json_syntax_error_is_a_positioned_error_at_the_decoders_fault(text, line, column, reason):
+    with pytest.raises(PositionedError) as err:
+        read_json_records(text)
+    assert str(err.value) == f"line {line}, column {column}: {reason}"
+    assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
 
 
 def test_read_json_rejects_nested_and_non_arrays():

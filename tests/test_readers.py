@@ -1,5 +1,6 @@
 """Turtle, shape files and mapping files read IRIs and prefixed names with one
-lexer, so each reader accepts the same terms and reads them as the same IRI.
+lexer and one resolver, so each reader accepts the same terms, reads them as
+the same IRI and gives the same reason and token for the same fault.
 
 A term is read by each reader in the place that takes an IRI: the object of
 a Turtle triple, the target of a shape and the class of a mapping entity,
@@ -78,7 +79,7 @@ def test_names_and_iris_outside_turtle_are_errors_in_every_reader(term):
     "parse, text, error, message",
     [
         (parse_shapes, "shape S target <http://x/a b> { }", ShapeParseError,
-         "line 1, column 16: IRI contains forbidden character ' ': 'http://x/a b'"),
+         "line 1, column 16: IRI contains forbidden character ' ': 'http://x/a b' (at 'http://x/a b')"),
         (parse_shapes, f"prefix ex: <{EX}>\nshape S target ex:a/b {{ }}", ShapeParseError,
          "line 2, column 20: unexpected character '/' (at '/')"),
         (parse_mapping, "entity E <http://x/\\q> {", MappingParseError,
@@ -121,3 +122,49 @@ IRI_PIECES = ["a", "/", "#", ".", "é", " ", "{", "^", "\\u0041", "\\U0001F600",
 def test_the_three_readers_accept_the_same_terms_as_the_same_iris(term):
     first, *others = read_by_each(term)
     assert others == [first, first], term
+
+
+def turtle_declares(directive: str) -> None:
+    parse_turtle(f"@{directive} .\n")
+
+
+def shape_file_declares(directive: str) -> None:
+    parse_shapes(f"{directive}\n")
+
+
+def mapping_declares(directive: str) -> None:
+    parse_mapping(f"{directive}\nbase <{EX}base/>\ncolumns id\nentity E <{EX}C> {{\n    key id\n}}\n")
+
+
+def fault_of(read, text: str) -> tuple:
+    """(reason, token) of the error that reading the text raises."""
+    with pytest.raises(PositionedError) as err:
+        read(text)
+    return err.value.reason, err.value.token
+
+
+@pytest.mark.parametrize(
+    "fault, term, directive",
+    [
+        ("relative IRI 'C' without a base", "<C>", "prefix ex: <C>"),
+        ("undefined prefix 'nope:'", "nope:C", None),
+        ("invalid prefix name: 'd.'", None, f"prefix d.: <{EX}>"),
+        ("prefix declaration must end with ':'", None, f"prefix d:e <{EX}>"),
+        ("expected prefix name", None, f"prefix <{EX}> <{EX}>"),
+    ],
+)
+def test_the_three_readers_give_one_reason_for_each_fault(fault, term, directive):
+    if term is not None:
+        assert {fault_of(read, term)[0] for read in READERS} == {fault}
+    if directive is not None:
+        declares = [turtle_declares, shape_file_declares, mapping_declares]
+        assert {fault_of(read, directive)[0] for read in declares} == {fault}
+
+
+def test_every_reader_quotes_the_token_it_stops_at():
+    for read in READERS:
+        assert [fault_of(read, term) for term in ["<C>", "nope:C", "<http://x/a b>"]] == [
+            ("relative IRI 'C' without a base", "C"),
+            ("undefined prefix 'nope:'", "nope:C"),
+            ("IRI contains forbidden character ' ': 'http://x/a b'", "http://x/a b"),
+        ]

@@ -138,18 +138,23 @@ def test_undefined_prefix_in_shape_file():
     ]:
         with pytest.raises(ShapeParseError) as err:
             parse_shapes(text)
-        assert str(err.value) == f"line {line}, column {column}: undefined prefix 'nope:'"
+        assert str(err.value) == f"line {line}, column {column}: undefined prefix 'nope:' (at 'nope:C')"
         assert (err.value.line, err.value.column) == (line, column)
 
 
 @pytest.mark.parametrize(
     "text, line, column, message",
     [
-        ("shape S target <C> { }", 1, 16, "IRI must be absolute: 'C'"),
-        ("shape S {\n\n <p> any }", 3, 2, "IRI must be absolute: 'p'"),
-        ("\nprefix ex: <rel/>", 2, 12, "IRI must be absolute: 'rel/'"),
-        (f"shape S target <{EX}a{{b> {{ }}", 1, 16, f"IRI contains forbidden character '{{': '{EX}a{{b'"),
-        ("shape S target C { }", 1, 16, "expected an IRI, got 'C'"),
+        ("shape S target <C> { }", 1, 16, "relative IRI 'C' without a base (at 'C')"),
+        ("shape S {\n\n <p> any }", 3, 2, "relative IRI 'p' without a base (at 'p')"),
+        ("\nprefix ex: <rel/>", 2, 12, "relative IRI 'rel/' without a base (at 'rel/')"),
+        (
+            f"shape S target <{EX}a{{b> {{ }}",
+            1,
+            16,
+            f"IRI contains forbidden character '{{': '{EX}a{{b' (at '{EX}a{{b')",
+        ),
+        ("shape S target C { }", 1, 16, "expected an IRI (at 'C')"),
     ],
 )
 def test_unresolvable_iri_in_shape_file(text, line, column, message):
@@ -164,20 +169,22 @@ def test_unresolvable_iri_in_shape_file(text, line, column, message):
     [
         ("shape 1bad { }", 1, 7, "invalid shape name '1bad'"),
         ("shape S { }\nshape S { }", 2, 7, "duplicate shape name 'S'"),
-        (f"shape S target <{EX}C>\n ;", 2, 2, "expected '{' to open shape body, got ';'"),
+        (f"shape S target <{EX}C>\n ;", 2, 2, "expected '{' to open shape body (at ';')"),
         # a "<" opens an IRI, which Turtle's lexer reads to its first fault
         ("shape S {\n < }", 2, 5, "unterminated IRI"),
-        ("shape S {\n @1 }", 2, 2, "unexpected character '@'"),
+        ("shape S {\n @1 }", 2, 2, "unexpected character '@' (at '@')"),
         # cardinality bounds are ASCII digits; "\u0662" is an Arabic-Indic two
         (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, 24, "malformed cardinality"),
         (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, 24, "malformed cardinality"),
         (f"shape S {{\n <{EX}p> any {{x}} }}", 2, 24, "malformed cardinality"),
         (f"shape S {{ <{EX}p> any\n\n {{1,x}} }}", 3, 2, "malformed cardinality"),
         (f"shape S {{ <{EX}p> iri {{\n 1 }} ; <{EX}q> any {{ }} }}", 2, 30, "malformed cardinality"),
-        # prefix names outside the form that Turtle reads
+        # prefix names outside the form that Turtle reads, with Turtle's messages
+        (f"shape S {{ }}\nprefix 1x.: <{EX}>", 2, 8, "expected prefix name (at '1')"),
+        (f"shape S {{ }}\nprefix a:b: <{EX}>", 2, 8, "prefix declaration must end with ':' (at 'a:b:')"),
         *(
-            (f"shape S {{ }}\nprefix {name}: <{EX}>", 2, 8, f"invalid prefix name: {name!r}")
-            for name in ["1x.", "d.", "dé", "-a", "a:b", "a..b"]
+            (f"shape S {{ }}\nprefix {name}: <{EX}>", 2, 8, f"invalid prefix name: {name!r} (at {name + ':'!r})")
+            for name in ["d.", "dé", "-a", "a..b"]
         ),
     ],
 )

@@ -1,10 +1,13 @@
 """Extract a documentation model from an OWL graph and render it as HTML.
 
 The model carries classes, properties, individuals, annotations, axioms and
-namespaces; rendering produces one self-contained HTML5 document with a table
-of contents, one section per term and intra-document links wherever the
-target term is itself documented. Output bytes are a pure function of the
-model, which keeps golden-file tests honest.
+namespaces. The schema names the terms, property kinds and mappings; all else
+is read from the graph, each relation through one (relation, predicate) table
+per kind of entry, named targets before anonymous ones. Rendering produces
+one self-contained HTML5 document with a table of contents, one section per
+term and intra-document links wherever the target term is itself documented.
+Output bytes are a pure function of the model, which keeps golden-file tests
+honest.
 """
 
 from __future__ import annotations
@@ -46,16 +49,6 @@ DCT_TITLE = IRI(DCT_NS + "title")
 DCT_DESCRIPTION = IRI(DCT_NS + "description")
 OWL_VERSION_INFO = IRI(OWL_NS + "versionInfo")
 
-_STRUCTURAL_PREDICATES = {
-    RDF_TYPE,
-    RDFS_LABEL,
-    RDFS_COMMENT,
-    RDFS_SUBCLASS_OF,
-    RDFS_SUBPROPERTY_OF,
-    RDFS_DOMAIN,
-    RDFS_RANGE,
-} | set(MAPPING_PREDICATES)
-
 _AXIOM_KINDS = {
     RDFS_SUBCLASS_OF: "subclass-of",
     RDFS_SUBPROPERTY_OF: "subproperty-of",
@@ -64,6 +57,17 @@ _AXIOM_KINDS = {
     RDFS_DOMAIN: "domain",
     RDFS_RANGE: "range",
 }
+
+# predicates an entry shows in its own rows, so not again as annotations
+_STRUCTURAL_PREDICATES = {RDF_TYPE, RDFS_LABEL, RDFS_COMMENT} | set(_AXIOM_KINDS) | set(MAPPING_PREDICATES)
+
+# (relation, predicate) of the rows each kind of entry reads from the graph
+_CLASS_RELATIONS = (("superclass", RDFS_SUBCLASS_OF),)
+_PROPERTY_RELATIONS = (
+    ("domain", RDFS_DOMAIN),
+    ("range", RDFS_RANGE),
+    ("superproperty", RDFS_SUBPROPERTY_OF),
+)
 
 
 @dataclass(frozen=True)
@@ -123,8 +127,7 @@ def _blank_layout(g: Graph, node: BlankNode, render) -> tuple:
             if not heads:
                 break
             elements.append(("", heads[0]))
-            rests = g.objects(current, RDF_REST)
-            current = rests[0] if rests else RDF_NIL
+            current = g.value(current, RDF_REST) or RDF_NIL
         return "()", " ", iter(elements)
     pairs = [
         ("a " if t.predicate == RDF_TYPE else render(t.predicate) + " ", t.object)
@@ -163,11 +166,8 @@ def _pretty_blank(g: Graph, node: BlankNode, render) -> str:
 
 
 def _first_literal(g: Graph, subject: Term, *predicates: IRI) -> str:
-    for predicate in predicates:
-        for value in g.objects(subject, predicate):
-            if isinstance(value, Literal):
-                return value.lexical
-    return ""
+    literals = (o for p in predicates for o in g.objects(subject, p) if isinstance(o, Literal))
+    return next((o.lexical for o in literals), "")
 
 
 def _texts(g: Graph, subject: Term, predicate: IRI) -> list:
@@ -194,6 +194,23 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
         description=_first_literal(g, onto, DCT_DESCRIPTION, RDFS_COMMENT) if onto else "",
     )
 
+    def shown(o: Term) -> tuple:
+        """(text, IRI or None) of an object; only an IRI links."""
+        if isinstance(o, BlankNode):
+            return pretty(o), None
+        return render(o), o if isinstance(o, IRI) else None
+
+    def relation_rows(iri: IRI, table: tuple, info) -> list:
+        """The rows of each (relation, predicate) of table, named targets
+        before anonymous ones, then the mappings of the schema entry info."""
+        rows = [
+            (name, o if isinstance(o, IRI) else pretty(o))
+            for name, predicate in table
+            for o in g.objects(iri, predicate)
+            if not isinstance(o, Literal)
+        ]
+        return rows + [(m.kind, m.target) for m in info.mappings]
+
     used_anchors: set = set()
 
     def new_entry(iri: IRI, prefix: str, kind: str, relations: list) -> DocEntry:
@@ -205,15 +222,6 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             anchor = f"{base}-{counter}"
             counter += 1
         used_anchors.add(anchor)
-        annotations = []
-        for t in g.match(iri, None, None):
-            if t.predicate in _STRUCTURAL_PREDICATES:
-                continue
-            if isinstance(t.object, BlankNode):
-                annotations.append((t.predicate, pretty(t.object), None))
-            else:
-                target = t.object if isinstance(t.object, IRI) else None
-                annotations.append((t.predicate, render(t.object), target))
         return DocEntry(
             iri=iri,
             anchor=anchor,
@@ -221,55 +229,41 @@ def extract_doc_model(g: Graph, schema: OntologySchema) -> DocModel:
             labels=_texts(g, iri, RDFS_LABEL),
             comments=_texts(g, iri, RDFS_COMMENT),
             relations=relations,
-            annotations=annotations,
+            annotations=[
+                (t.predicate, *shown(t.object))
+                for t in g.match(iri, None, None)
+                if t.predicate not in _STRUCTURAL_PREDICATES
+            ],
         )
 
-    def anonymous(iri: IRI, name: str, predicate: IRI) -> list:
-        return [(name, pretty(o)) for o in g.objects(iri, predicate) if isinstance(o, BlankNode)]
+    class_entries = [
+        new_entry(iri, "class", "class", relation_rows(iri, _CLASS_RELATIONS, info))
+        for iri, info in sorted(schema.classes.items(), key=lambda item: term_sort_key(item[0]))
+    ]
+    property_entries = [
+        new_entry(iri, "prop", info.kind or "property", relation_rows(iri, _PROPERTY_RELATIONS, info))
+        for iri, info in sorted(schema.properties.items(), key=lambda item: term_sort_key(item[0]))
+    ]
 
-    class_entries = []
-    for iri in sorted(schema.classes, key=term_sort_key):
-        info = schema.classes[iri]
-        relations = [("superclass", sup) for sup in sorted(info.direct_superclasses, key=term_sort_key)]
-        relations += anonymous(iri, "superclass", RDFS_SUBCLASS_OF)
-        relations += [(m.kind, m.target) for m in info.mappings]
-        class_entries.append(new_entry(iri, "class", "class", relations))
-
-    property_entries = []
-    for iri in sorted(schema.properties, key=term_sort_key):
-        info = schema.properties[iri]
-        relations = [("domain", dom) for dom in sorted(info.domains, key=term_sort_key)]
-        relations += [("range", rng) for rng in sorted(info.ranges, key=term_sort_key)]
-        relations += anonymous(iri, "domain", RDFS_DOMAIN) + anonymous(iri, "range", RDFS_RANGE)
-        relations += [
-            ("superproperty", sup) for sup in sorted(info.direct_superproperties, key=term_sort_key)
-        ]
-        relations += anonymous(iri, "superproperty", RDFS_SUBPROPERTY_OF)
-        relations += [(m.kind, m.target) for m in info.mappings]
-        property_entries.append(new_entry(iri, "prop", info.kind or "property", relations))
-
+    typed = {
+        t.subject
+        for t in g.find(None, RDF_TYPE, None)
+        if isinstance(t.subject, IRI) and t.object in schema.classes
+    }
     individual_entries = []
-    documented = set(schema.classes) | set(schema.properties)
-    for t in sorted(g.match(None, RDF_TYPE, None), key=lambda t: term_sort_key(t.subject)):
-        subject = t.subject
-        if not isinstance(subject, IRI) or subject in documented:
-            continue
-        if not isinstance(t.object, IRI) or t.object not in schema.classes:
-            continue
-        documented.add(subject)
-        relations = [("type", o) for o in g.objects(subject, RDF_TYPE) if isinstance(o, IRI)]
-        individual_entries.append(new_entry(subject, "ind", "individual", relations))
+    for iri in sorted(typed - schema.classes.keys() - schema.properties.keys(), key=term_sort_key):
+        types = [("type", o) for o in g.objects(iri, RDF_TYPE) if isinstance(o, IRI)]
+        individual_entries.append(new_entry(iri, "ind", "individual", types))
 
-    axiom_entries = []
-    for predicate, kind in _AXIOM_KINDS.items():
-        for t in g.match(None, predicate, None):
-            if not isinstance(t.subject, IRI):
-                continue
-            if isinstance(t.object, IRI):
-                axiom_entries.append(AxiomEntry(kind, t.subject, render(t.object), t.object))
-            elif isinstance(t.object, BlankNode):
-                axiom_entries.append(AxiomEntry(kind, t.subject, pretty(t.object), None))
-    axiom_entries.sort(key=lambda a: (term_sort_key(a.subject), a.kind, a.object_text))
+    axiom_entries = sorted(
+        (
+            AxiomEntry(kind, t.subject, *shown(t.object))
+            for predicate, kind in _AXIOM_KINDS.items()
+            for t in g.find(None, predicate, None)
+            if isinstance(t.subject, IRI) and not isinstance(t.object, Literal)
+        ),
+        key=lambda a: (term_sort_key(a.subject), a.kind, a.object_text),
+    )
 
     return DocModel(
         header=header,
@@ -314,9 +308,15 @@ def _display_name(entry: DocEntry) -> str:
     for text, language in entry.labels:
         if language == _DISPLAY_LANGUAGE:
             return text
-    if entry.labels:
-        return entry.labels[0][0]
-    return local_name(entry.iri)
+    return entry.labels[0][0] if entry.labels else local_name(entry.iri)
+
+
+def _labeled_values(pairs: list) -> str:
+    """(text, language) pairs, each tag after its text."""
+    return "; ".join(
+        _esc(text) + (f' <span class="lang">({_esc(language)})</span>' if language else "")
+        for text, language in pairs
+    )
 
 
 class _HtmlWriter:
@@ -331,42 +331,42 @@ class _HtmlWriter:
         self.anchors = {entry.iri: entry.anchor for _, _, entries in self.sections for entry in entries}
         self.out: list = []
 
-    def link(self, iri: IRI, text: Optional[str] = None) -> str:
-        label = _esc(text if text is not None else iri.value)
+    def value(self, text: str, iri: Optional[IRI] = None) -> str:
+        """text as a link to iri, in the page where iri is documented, or as
+        code where there is no IRI."""
+        label = _esc(text)
+        if iri is None:
+            return f"<code>{label}</code>"
         if iri in self.anchors:
             return f'<a href="#{self.anchors[iri]}">{label}</a>'
         return f'<a href="{_esc(iri.value)}" class="external">{label}</a>'
-
-    def _labeled_values(self, pairs: list) -> str:
-        rendered = []
-        for text, language in pairs:
-            tag = f' <span class="lang">({_esc(language)})</span>' if language else ""
-            rendered.append(f"{_esc(text)}{tag}")
-        return "; ".join(rendered)
 
     def _entry(self, entry: DocEntry) -> None:
         name = _display_name(entry)
         self.out.append(f'<section class="entry" id="{entry.anchor}">')
         self.out.append(f"<h3>{_esc(name)}</h3>")
         self.out.append(f'<p class="iri"><code>{_esc(entry.iri.value)}</code> — {entry.kind}</p>')
-        rows = []
-        if entry.labels:
-            rows.append(("Labels", self._labeled_values(entry.labels)))
-        if entry.comments:
-            rows.append(("Comments", self._labeled_values(entry.comments)))
+        texts = (("Labels", entry.labels), ("Comments", entry.comments))
+        rows = [(key, _labeled_values(pairs)) for key, pairs in texts if pairs]
         for relation, target in entry.relations:
-            if isinstance(target, IRI):
-                rows.append((relation, self.link(target, local_name(target))))
-            else:
-                rows.append((relation, f"<code>{_esc(target)}</code>"))
+            text, iri = (local_name(target), target) if isinstance(target, IRI) else (target, None)
+            rows.append((relation, self.value(text, iri)))
         for predicate, text, target in entry.annotations:
-            value = self.link(target, text) if target is not None else f"<code>{_esc(text)}</code>"
-            rows.append((local_name(predicate), value))
+            rows.append((local_name(predicate), self.value(text, target)))
         if rows:
             self.out.append("<dl>")
             for key, value in rows:
                 self.out.append(f"<dt>{_esc(key)}</dt><dd>{value}</dd>")
             self.out.append("</dl>")
+        self.out.append("</section>")
+
+    def _table(self, anchor: str, heading: str, columns: tuple, rows: list) -> None:
+        """A section of one table of rendered cells; no table where no rows."""
+        self.out.append(f'<section id="{anchor}"><h2>{heading}</h2>')
+        if rows:
+            self.out.append("<table><tr>" + "".join(f"<th>{c}</th>" for c in columns) + "</tr>")
+            self.out += ["<tr>" + "".join(f"<td>{c}</td>" for c in row) + "</tr>" for row in rows]
+            self.out.append("</table>")
         self.out.append("</section>")
 
     def render(self) -> str:
@@ -412,31 +412,14 @@ class _HtmlWriter:
                 self._entry(entry)
             self.out.append("</section>")
 
-        self.out.append('<section id="axioms"><h2>Axioms</h2>')
-        if model.axiom_entries:
-            self.out.append("<table><tr><th>Subject</th><th>Axiom</th><th>Object</th></tr>")
-            for axiom in model.axiom_entries:
-                subject = self.link(axiom.subject, local_name(axiom.subject))
-                if axiom.object_iri is not None:
-                    obj = self.link(axiom.object_iri, axiom.object_text)
-                else:
-                    obj = f"<code>{_esc(axiom.object_text)}</code>"
-                self.out.append(
-                    f"<tr><td>{subject}</td><td>{_esc(axiom.kind)}</td><td>{obj}</td></tr>"
-                )
-            self.out.append("</table>")
-        self.out.append("</section>")
-
-        self.out.append('<section id="namespaces"><h2>Namespaces</h2>')
-        if model.namespaces:
-            self.out.append("<table><tr><th>Prefix</th><th>Namespace</th></tr>")
-            for prefix, namespace in model.namespaces:
-                self.out.append(
-                    f"<tr><td><code>{_esc(prefix)}:</code></td>"
-                    f"<td><code>{_esc(namespace)}</code></td></tr>"
-                )
-            self.out.append("</table>")
-        self.out.append("</section>")
+        axioms = [
+            (self.value(local_name(a.subject), a.subject), _esc(a.kind),
+             self.value(a.object_text, a.object_iri))
+            for a in model.axiom_entries
+        ]
+        self._table("axioms", "Axioms", ("Subject", "Axiom", "Object"), axioms)
+        namespaces = [(self.value(prefix + ":"), self.value(ns)) for prefix, ns in model.namespaces]
+        self._table("namespaces", "Namespaces", ("Prefix", "Namespace"), namespaces)
 
         self.out.append("</body>")
         self.out.append("</html>")

@@ -24,7 +24,7 @@ is only where minted IRIs start, so a relative IRI is ``relative IRI '...'
 without a base``. ``columns``, ``key``, a map's column and a date
 ``format`` are free text to the line's end. Errors have Turtle's form,
 ``line N, column M: reason (at 'token')``, as do those of a CSV or JSON
-table that does not read.
+table that does not read or a JSON record that is not flat.
 """
 
 from __future__ import annotations
@@ -408,9 +408,21 @@ def _deepest_nesting(text: str) -> tuple:
     return deepest, offset
 
 
+def _record_offset(text: str, index: int) -> int:
+    """Where element index of the JSON array in text, already decoded, starts:
+    earlier elements decode again, and the decoder's own pattern skips space."""
+    space = json.decoder.WHITESPACE.match
+    offset = space(text).end() + 1  # past the '['
+    for _ in range(index):
+        end = json.JSONDecoder().raw_decode(text, space(text, offset).end())[1]
+        offset = space(text, end).end() + 1  # past the ','
+    return space(text, offset).end()
+
+
 def read_json_records(text: str) -> list:
-    """JSON array of flat records; scalars are coerced to strings. A text that
-    is not JSON is a `PositionedError` where the decoder found the fault."""
+    """JSON array of flat records; scalars are coerced to strings. A fault is a
+    `PositionedError`: where the decoder found it, at the first value of a
+    text that is not an array, or at the first character of a bad record."""
     text = text.lstrip("﻿")
     try:
         data = json.loads(text)
@@ -422,11 +434,12 @@ def read_json_records(text: str) -> list:
         reason = f"JSON nests {depth} levels deep, too deep to read"
         raise PositionedError.at(text, offset, reason) from None
     if not isinstance(data, list):
-        raise DingoError("JSON input must be an array of records")
+        reason = "JSON input must be an array of records"
+        raise PositionedError.at(text, json.decoder.WHITESPACE.match(text).end(), reason)
     records = []
     for i, item in enumerate(data):
         if not isinstance(item, dict):
-            raise DingoError(f"record {i} is not an object")
+            raise PositionedError.at(text, _record_offset(text, i), f"record {i} is not an object")
         record = {}
         for key, value in item.items():
             if value is None:
@@ -436,6 +449,7 @@ def read_json_records(text: str) -> list:
             elif isinstance(value, (str, int, float)):
                 record[key] = str(value)
             else:
-                raise DingoError(f"record {i}, field {key!r}: nested values are not supported")
+                reason = f"record {i}, field {key!r}: nested values are not supported"
+                raise PositionedError.at(text, _record_offset(text, i), reason)
         records.append(record)
     return records

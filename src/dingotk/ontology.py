@@ -1,10 +1,12 @@
 """Ontology schema registry: classes, properties, hierarchy and mappings.
 
 load_ontology digests an OWL/RDFS graph into an OntologySchema that the
-validator, query and documentation layers share. Schemas are read-only after
-loading; concurrent readers are safe. `subclasses_of` fills one set per class
-on first use and keeps it; two threads that race store equal sets and either
-one is kept.
+validator, query and documentation layers share: the classes and properties,
+the named class hierarchy, property kinds and mappings. Labels, comments,
+domains, ranges, superproperties and anonymous targets stay in the graph,
+where docgen reads them. Schemas are read-only after loading; concurrent
+readers are safe. `subclasses_of` fills one set per class on first use and
+keeps it; two threads that race store equal sets and either one is kept.
 """
 
 from __future__ import annotations
@@ -94,9 +96,6 @@ class ClassInfo:
 class PropertyInfo:
     iri: IRI
     kind: Optional[str] = None  # object- / datatype- / annotation-property
-    domains: set = field(default_factory=set)
-    ranges: set = field(default_factory=set)
-    direct_superproperties: set = field(default_factory=set)
     mappings: list = field(default_factory=list)
     declared: bool = False
 
@@ -283,71 +282,57 @@ def find_cycle(roots: Iterable, successors: Callable[[Any], Iterable]) -> Option
 def load_ontology(g: Graph) -> OntologySchema:
     """Build an OntologySchema from OWL/RDFS declaration triples.
 
-    Subclass and subproperty edges to blank nodes (anonymous class
-    expressions) stay in the graph and out of the hierarchy. Raises
-    SubclassCycleError for strict subclass cycles (equivalence-collapsed)
-    and PropertyKindConflictError for contradictory property declarations.
+    Subclass edges to blank nodes (anonymous class expressions) stay in the
+    graph and out of the hierarchy; both IRI ends of a subproperty edge
+    register as properties. Raises SubclassCycleError for strict subclass
+    cycles (equivalence-collapsed) and PropertyKindConflictError for
+    contradictory property declarations.
     """
     classes: dict = {}
     properties: dict = {}
 
-    def class_entry(iri: IRI) -> ClassInfo:
-        if iri not in classes:
-            classes[iri] = ClassInfo(iri=iri)
-        return classes[iri]
+    def entry(registry: dict, iri: IRI, info: Callable) -> Any:
+        """The entry of iri in registry, made by info on first sight."""
+        if iri not in registry:
+            registry[iri] = info(iri=iri)
+        return registry[iri]
 
-    def property_entry(iri: IRI) -> PropertyInfo:
-        if iri not in properties:
-            properties[iri] = PropertyInfo(iri=iri)
-        return properties[iri]
-
-    ontology_iri: Optional[IRI] = None
-    for t in g.match(None, RDF_TYPE, OWL_ONTOLOGY):
-        if isinstance(t.subject, IRI):
-            ontology_iri = t.subject
-            break
+    ontology_iri = next((s for s in g.subjects(RDF_TYPE, OWL_ONTOLOGY) if isinstance(s, IRI)), None)
 
     for t in g.match(None, RDF_TYPE, OWL_CLASS):
         if isinstance(t.subject, IRI):
-            class_entry(t.subject).declared = True
+            entry(classes, t.subject, ClassInfo).declared = True
 
     for type_iri, kind in PROPERTY_KINDS.items():
         for t in g.match(None, RDF_TYPE, type_iri):
             if not isinstance(t.subject, IRI):
                 continue
-            entry = property_entry(t.subject)
-            if entry.kind is not None and entry.kind != kind:
+            info = entry(properties, t.subject, PropertyInfo)
+            if info.kind is not None and info.kind != kind:
                 raise PropertyKindConflictError(
-                    f"{t.subject.value} declared both {entry.kind} and {kind}"
+                    f"{t.subject.value} declared both {info.kind} and {kind}"
                 )
-            entry.kind = kind
-            entry.declared = True
+            info.kind = kind
+            info.declared = True
 
     for t in g.match(None, RDFS_SUBCLASS_OF, None):
         if not isinstance(t.subject, IRI):
             continue
-        entry = class_entry(t.subject)
+        info = entry(classes, t.subject, ClassInfo)
         if isinstance(t.object, IRI):
             if t.object == t.subject:
                 raise SubclassCycleError([t.subject])
-            entry.direct_superclasses.add(t.object)
-            class_entry(t.object)
+            info.direct_superclasses.add(t.object)
+            entry(classes, t.object, ClassInfo)
 
     for t in g.match(None, RDFS_SUBPROPERTY_OF, None):
-        if not isinstance(t.subject, IRI):
-            continue
-        entry = property_entry(t.subject)
-        if isinstance(t.object, IRI):
-            entry.direct_superproperties.add(t.object)
-            property_entry(t.object)
+        if isinstance(t.subject, IRI):
+            entry(properties, t.subject, PropertyInfo)
+            if isinstance(t.object, IRI):
+                entry(properties, t.object, PropertyInfo)
 
-    for t in g.match(None, RDFS_DOMAIN, None):
-        if isinstance(t.subject, IRI) and t.subject in properties and isinstance(t.object, IRI):
-            properties[t.subject].domains.add(t.object)
-    for t in g.match(None, RDFS_RANGE, None):
-        if isinstance(t.subject, IRI) and t.subject in properties and isinstance(t.object, IRI):
-            properties[t.subject].ranges.add(t.object)
-
+    # an OWL equivalence maps terms of its own kind only; SKOS maps both kinds
+    registries = {"owl-equivalent-class": (classes,), "owl-equivalent-property": (properties,)}
     equivalences = []
     mapping_triples = [t for predicate in MAPPING_PREDICATES for t in g.match(None, predicate, None)]
     for t in sorted(mapping_triples, key=triple_sort_key):
@@ -356,16 +341,9 @@ def load_ontology(g: Graph) -> OntologySchema:
         kind = MAPPING_PREDICATES[t.predicate]
         if kind == "owl-equivalent-class":
             equivalences.append((t.subject, t.object))
-            if t.subject in classes:
-                classes[t.subject].mappings.append(Mapping(kind, t.object))
-        elif kind == "owl-equivalent-property":
-            if t.subject in properties:
-                properties[t.subject].mappings.append(Mapping(kind, t.object))
-        else:
-            if t.subject in classes:
-                classes[t.subject].mappings.append(Mapping(kind, t.object))
-            if t.subject in properties:
-                properties[t.subject].mappings.append(Mapping(kind, t.object))
+        for registry in registries.get(kind, (classes, properties)):
+            if t.subject in registry:
+                registry[t.subject].mappings.append(Mapping(kind, t.object))
 
     _check_class_cycles(classes, equivalences)
 

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 from dingotk.terms import (
     BlankNode,
@@ -75,6 +78,25 @@ ex:hasComponent a owl:ObjectProperty ;
     rdfs:subPropertyOf ex:hasPart, ex:relatedTo, [ owl:inverseOf ex:partOf ] .
 [] rdfs:subPropertyOf ex:hasPart .
 """
+
+
+CORPUS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def load_corpus_module():
+    """perfbench/corpus.py, the seeded funding-corpus generator, loaded
+    read-only from its file, so the benchmark's package is neither imported
+    nor changed."""
+    name = "_bench_corpus"
+    spec = importlib.util.spec_from_file_location(name, CORPUS_PY)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while the class bodies run
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
 
 
 def random_literal(rng: random.Random) -> Literal:

@@ -533,6 +533,24 @@ def test_ingest_malformed_json_is_a_positioned_input_error(tmp_path, capsys):
     assert captured.err == "error: line 1, column 13: Expecting property name enclosed in double quotes\n"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1]", "line 1, column 2: record 0 is not an object"),
+        ('[{"id": "t1"},\n {"id": {"x": 1}}]', "line 2, column 2: record 1, field 'id': nested values are not supported"),
+        ('{"id": "t1"}', "line 1, column 1: JSON input must be an array of records"),
+    ],
+)
+def test_ingest_json_that_is_not_flat_records_is_a_positioned_input_error(tmp_path, capsys, text, message):
+    records = tmp_path / "rows.json"
+    records.write_text(text, encoding="utf-8")
+    mapping = tmp_path / "m.mapping"
+    mapping.write_text(THING_MAPPING, encoding="utf-8")
+    assert run(["ingest", str(records), "--mapping", str(mapping)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_docgen_writes_linked_html(tmp_path, capsys):
     out = tmp_path / "doc.html"
     assert run(["docgen", "--out", str(out)]) == 0

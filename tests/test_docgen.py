@@ -342,8 +342,8 @@ def test_property_relations_list_iris_then_blanks_then_mappings():
     (entry,) = [e for e in model.property_entries if e.anchor == "prop-p"]
     assert entry.relations == [
         ("domain", IRI("http://a.example/#A")),
-        ("range", IRI("http://b.example/#A")),
         ("domain", "[ owl:unionOf ( a:A b:A ) ]"),
+        ("range", IRI("http://b.example/#A")),
         ("superproperty", IRI("http://a.example/#q")),
         ("superproperty", "[ owl:inverseOf a:q ]"),
         ("skos-close", IRI("http://b.example/#p")),

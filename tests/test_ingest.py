@@ -168,6 +168,9 @@ def test_unresolvable_iri_is_an_error_at_its_line(old, new, line, column, messag
         (": string", ": string@en-", 8, 34, "invalid language tag: 'en-'"),
         (": string", ": string@", 8, 34, "invalid language tag: ''"),
         (": string", ": string@é", 8, 34, "invalid language tag: 'é'"),
+        ("name -> d:title", "name d:title", 8, 30, "expected '->' after the column"),
+        (": string", "string", 8, 25, "expected ':' after the predicate (at 'string')"),
+        ("map name -> d:title : string", "map", 8, 8, "expected text after 'map'"),
     ],
 )
 def test_mapping_structure_errors_name_their_line(old, new, line, column, message):
@@ -555,6 +558,25 @@ def test_read_json_syntax_error_is_a_positioned_error_at_the_decoders_fault(text
         read_json_records(text)
     assert str(err.value) == f"line {line}, column {column}: {reason}"
     assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
+
+
+@pytest.mark.parametrize(
+    "text, line, column, reason",
+    [
+        ("[1]", 1, 2, "record 0 is not an object"),
+        ('[{"id": {"x": 1}}]', 1, 2, "record 0, field 'id': nested values are not supported"),
+        ('[ {"a": 1} ,\n  {"b": [1, {"c": 2}]}, 3]', 2, 3, "record 1, field 'b': nested values are not supported"),
+        ('[{"a": "]"}, {"b": "x,y"},\n\t "z"]', 2, 3, "record 2 is not an object"),
+        ('[{}, [[{}], []]]', 1, 6, "record 1 is not an object"),
+        ('  {"a": 1}', 1, 3, "JSON input must be an array of records"),
+        ("\n\n 5", 3, 2, "JSON input must be an array of records"),
+    ],
+)
+def test_a_json_record_that_is_not_flat_is_an_error_at_its_first_character(text, line, column, reason):
+    with pytest.raises(PositionedError) as err:
+        read_json_records(text)
+    assert (err.value.line, err.value.column, err.value.reason) == (line, column, reason)
+    assert str(err.value) == f"line {line}, column {column}: {reason}"
 
 
 def test_read_json_rejects_nested_and_non_arrays():

@@ -48,6 +48,15 @@ def test_parse_single_constraint_exact_one():
     assert schema.target_map == [(IRI(EX + "C"), "S")]
 
 
+@pytest.mark.parametrize(
+    "min_count, max_count, message",
+    [(-1, None, "min_count must be non-negative"), (2, 1, "min_count exceeds max_count")],
+)
+def test_a_constraint_rejects_impossible_cardinalities(min_count, max_count, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TripleConstraint(IRI(EX + "p"), min_count, max_count)
+
+
 def test_parse_cardinality_shorthands():
     text = (
         f"shape S target <{EX}C> {{\n"
@@ -173,6 +182,7 @@ def test_unresolvable_iri_in_shape_file(text, line, column, message):
         # a "<" opens an IRI, which Turtle's lexer reads to its first fault
         ("shape S {\n < }", 2, 5, "unterminated IRI"),
         ("shape S {\n @1 }", 2, 2, "unexpected character '@' (at '@')"),
+        (f"shape S {{\n <{EX}p> 42 }}", 2, 20, "expected a value check (at '42')"),
         # cardinality bounds are ASCII digits; "\u0662" is an Arabic-Indic two
         (f"shape S {{\n <{EX}p> any {{\u0662}} }}", 2, 24, "malformed cardinality"),
         (f"shape S {{\n <{EX}p> any {{1,\u0662}} }}", 2, 24, "malformed cardinality"),
@@ -327,6 +337,14 @@ def test_dangling_shape_ref_reported_not_raised():
     )
     report = validate(data, schema, shapes)
     assert [v.code for v in report.violations] == ["dangling-shape-ref"]
+
+
+def test_a_target_naming_an_undefined_shape_checks_nothing():
+    shapes = ShapeSchema(shapes={}, target_map=[(IRI(EX + "C"), "Ghost")])
+    data = Graph([Triple(IRI(EX + "n"), RDF_TYPE, IRI(EX + "C"))])
+    report = validate(data, simple_schema(), shapes)
+    assert report.conformant
+    assert report.lines() == validate(data, simple_schema(), ShapeSchema()).lines()
 
 
 def test_unregistered_target_class_falls_back_to_direct_typing():

@@ -267,6 +267,98 @@ def test_query_temporal_check_json_bytes(tmp_path, capsys):
     )
 
 
+STATS_RULE = (
+    "named IRIs declared owl:Class (classes) or owl:ObjectProperty/owl:DatatypeProperty/"
+    "owl:AnnotationProperty (properties) whose IRI starts with the ontology IRI; "
+    "blank nodes and external terms excluded"
+)
+
+# argv ({} stands for the test's directory), the stream the report goes to,
+# the exit code, and the report's exact bytes: each JSON report prints its
+# keys in a fixed order
+JSON_BYTES_CASES = [
+    (
+        ["stats"], "out", 0,
+        "{\n"
+        '  "classes": 40,\n'
+        f'  "counting_rule": "{STATS_RULE}",\n'
+        '  "namespaces": 12,\n'
+        '  "ontology": "https://w3id.org/dingo",\n'
+        '  "properties": 68\n'
+        "}\n",
+    ),
+    (
+        ["validate", "{}/bad.ttl"], "out", 1,
+        "{\n"
+        '  "conformant": false,\n'
+        '  "violations": [\n'
+        "    {\n"
+        '      "code": "missing-required",\n'
+        '      "focus": "<http://x/g>",\n'
+        '      "message": "requires at least 1 value(s), found 0",\n'
+        f'      "predicate": "{DINGO_BASE}has_beneficiary",\n'
+        '      "shape": "GrantShape"\n'
+        "    },\n"
+        "    {\n"
+        '      "code": "wrong-datatype",\n'
+        '      "focus": "<http://x/g>",\n'
+        '      "message": "value \\"x\\" does not have datatype <http://www.w3.org/2001/XMLSchema#date>",\n'
+        f'      "predicate": "{DINGO_BASE}start_time",\n'
+        '      "shape": "GrantShape"\n'
+        "    }\n"
+        "  ]\n"
+        "}\n",
+    ),
+    (
+        ["ingest", "{}/rows.csv", "--mapping", "{}/m.mapping"], "err", 0,
+        "{\n"
+        '  "failures": [\n'
+        "    {\n"
+        '      "column": "start",\n'
+        '      "reason": "month out of range: \'2020-13-01\'",\n'
+        '      "row": 1,\n'
+        '      "value": "2020-13-01"\n'
+        "    }\n"
+        "  ],\n"
+        '  "rows": 2,\n'
+        '  "skipped_cells": 0,\n'
+        '  "triples": 3\n'
+        "}\n",
+    ),
+    (
+        ["query", "grants-of", "{}/data.ttl", "--node", "http://x/p1"], "out", 0,
+        "{\n"
+        '  "results": [\n'
+        '    "<http://x/g1>",\n'
+        '    "<http://x/g2>"\n'
+        "  ]\n"
+        "}\n",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stream, code, expected", JSON_BYTES_CASES, ids=[c[0][0] for c in JSON_BYTES_CASES]
+)
+def test_json_report_bytes(tmp_path, capsys, argv, stream, code, expected):
+    (tmp_path / "data.ttl").write_text(DATA, encoding="utf-8")
+    (tmp_path / "bad.ttl").write_text(
+        f'@prefix d: <{DINGO_BASE}> . <http://x/g> a d:Grant ; d:start_time "x" .', encoding="utf-8"
+    )
+    (tmp_path / "rows.csv").write_text("id,start\nt1,2020-13-01\nt2,2020-12-01\n", encoding="utf-8")
+    (tmp_path / "m.mapping").write_text(
+        f"prefix d: <{DINGO_BASE}>\nbase <http://ex.org/>\ncolumns id, start\n"
+        "entity Thing d:Project {\n  key id\n  map start -> d:start_time : date\n}\n",
+        encoding="utf-8",
+    )
+    argv = [arg.replace("{}", str(tmp_path)) for arg in argv]
+    assert run(argv + ["--format", "json"]) == code
+    captured = capsys.readouterr()
+    assert getattr(captured, stream) == expected
+    if stream == "err":  # the Turtle goes to stdout, untouched by the report
+        assert captured.out.startswith("@prefix d: ")
+
+
 def test_query_participants_json_bytes_with_a_bracketed_node(tmp_path, capsys):
     path = tmp_path / "p.ttl"
     path.write_text(

@@ -2,7 +2,9 @@
 
 Subcommands: convert, stats, validate, ingest, query, docgen. Machine
 output goes to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 data nonconformant, 2 input/syntax error, 3 usage error.
+1 data nonconformant, 2 input/syntax error, 3 usage error. A report prints
+as lines, or with --format json as one object whose keys come in a fixed
+order; ingest's report goes to stderr.
 """
 
 from __future__ import annotations
@@ -37,20 +39,45 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# subquery -> query over (queries module, data, schema, node, inherited,
-# vocabulary). A query that returns a set is printed sorted; "ancestry" and
-# "participants" return lists in their own order. Each command imports the
-# modules it runs, so that the others stay unloaded in a one-shot process.
-_NODE_QUERIES = {
-    "grants-of": lambda q, d, s, n, i, c: q.grants_funding_project(d, s, n, c),
-    "projects-of": lambda q, d, s, n, i, c: q.projects_funded_by(d, s, n, c),
-    "ancestry": lambda q, d, s, n, i, c: q.scheme_ancestry(d, n, c),
-    "criteria": lambda q, d, s, n, i, c: q.criteria_for_scheme(d, n, i, c),
-    "participants": lambda q, d, s, n, i, c: q.participants_with_roles(d, s, n, c),
-    "beneficiaries": lambda q, d, s, n, i, c: q.beneficiaries_of(d, n, c),
-    "non-beneficiary-participants": (
-        lambda q, d, s, n, i, c: q.non_beneficiary_participants(d, s, n, c)
+def _term(term: Term) -> tuple:
+    return repr(term), repr(term)
+
+
+def _participation(p) -> tuple:
+    role = repr(p.role) if p.role else None
+    return {"agent": repr(p.agent), "role": role}, f"{p.agent!r}\t{role or '-'}"
+
+
+def _violation(v) -> tuple:
+    start, end = (prop.value for prop in v.property_pair)
+    item = {
+        "node": repr(v.node),
+        "start_property": start,
+        "end_property": end,
+        "start_value": v.start_value,
+        "end_value": v.end_value,
+        "code": v.code,
+    }
+    return item, f"[{v.code}] {v.node!r} <{start}> {v.start_value!r} > <{end}> {v.end_value!r}"
+
+
+# subquery -> (query over (queries module, data, schema, node, inherited,
+# vocabulary), JSON key, renderer of a result to its (JSON item, text line)
+# pair). A set result prints sorted. temporal-check, the one check, needs no
+# --node and exits 1 on findings. Each command imports only what it runs.
+_QUERIES = {
+    "grants-of": (lambda q, d, s, n, i, c: q.grants_funding_project(d, s, n, c), "results", _term),
+    "projects-of": (lambda q, d, s, n, i, c: q.projects_funded_by(d, s, n, c), "results", _term),
+    "ancestry": (lambda q, d, s, n, i, c: q.scheme_ancestry(d, n, c), "results", _term),
+    "criteria": (lambda q, d, s, n, i, c: q.criteria_for_scheme(d, n, i, c), "results", _term),
+    "participants": (
+        lambda q, d, s, n, i, c: q.participants_with_roles(d, s, n, c), "results", _participation
     ),
+    "beneficiaries": (lambda q, d, s, n, i, c: q.beneficiaries_of(d, n, c), "results", _term),
+    "non-beneficiary-participants": (
+        lambda q, d, s, n, i, c: q.non_beneficiary_participants(d, s, n, c), "results", _term
+    ),
+    "temporal-check": (lambda q, d, s, n, i, c: q.check_temporal(d, c), "violations", _violation),
 }
 
 
@@ -63,9 +90,9 @@ def _embedded(name: str) -> str:
     return resources.files("dingotk").joinpath(f"data/{name}").read_text("utf-8")
 
 
-def _load_graph(path: Optional[str], base: Optional[str] = None) -> Graph:
+def _load_graph(path: Optional[str]) -> Graph:
     text = _embedded("dingo.ttl") if path is None else _read_file(path)
-    return parse_turtle(text, base=base)
+    return parse_turtle(text)
 
 
 def _load_schema(path: Optional[str]) -> OntologySchema:
@@ -87,6 +114,15 @@ def _emit(chunks: Iterable[str], out_path: Optional[str]) -> None:
             handle.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
+
+
+def _write(args, payload: dict, lines: Iterable[str], file=None) -> None:
+    """Print `payload` as JSON, in its own key order, or else `lines`, one a line."""
+    if args.format == "json":
+        print(json.dumps(payload, indent=2), file=file)
+    else:
+        for line in lines:
+            print(line, file=file)
 
 
 def _delimiter(text: str) -> str:
@@ -127,10 +163,7 @@ def build_parser() -> _ArgumentParser:
                      help="report format on stderr")
 
     query = sub.add_parser("query", help="funding-graph queries")
-    query.add_argument(
-        "subquery",
-        choices=(*_NODE_QUERIES, "temporal-check"),
-    )
+    query.add_argument("subquery", choices=tuple(_QUERIES))
     query.add_argument("data", help="data Turtle file")
     query.add_argument("--node", help="focus node IRI (not needed for temporal-check)")
     query.add_argument("--ontology", help="ontology Turtle file (default: bundled DINGO)")
@@ -154,21 +187,20 @@ def _cmd_convert(args) -> int:
 def _cmd_stats(args) -> int:
     schema = _load_schema(args.ontology)
     st = schema.stats()
-    if args.format == "json":
-        payload = {
-            "classes": st.class_count,
-            "properties": st.property_count,
-            "namespaces": st.namespace_count,
-            "ontology": st.own_namespace,
-            "counting_rule": st.counting_rule,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(f"classes: {st.class_count}, properties: {st.property_count}")
-        print(f"namespaces: {st.namespace_count}")
-        if st.own_namespace:
-            print(f"ontology: {st.own_namespace}")
-        print(f"counting rule: {st.counting_rule}")
+    payload = {
+        "classes": st.class_count,
+        "counting_rule": st.counting_rule,
+        "namespaces": st.namespace_count,
+        "ontology": st.own_namespace,
+        "properties": st.property_count,
+    }
+    lines = [
+        f"classes: {st.class_count}, properties: {st.property_count}",
+        f"namespaces: {st.namespace_count}",
+        *([f"ontology: {st.own_namespace}"] if st.own_namespace else []),
+        f"counting rule: {st.counting_rule}",
+    ]
+    _write(args, payload, lines)
     return EXIT_OK
 
 
@@ -182,24 +214,20 @@ def _cmd_validate(args) -> int:
     else:
         shape_schema = shapes.default_dingo_shapes(schema)
     report = shapes.validate(data, schema, shape_schema)
-    if args.format == "json":
-        payload = {
-            "conformant": report.conformant,
-            "violations": [
-                {
-                    "focus": repr(v.focus),
-                    "shape": v.shape,
-                    "predicate": v.predicate.value if v.predicate else None,
-                    "code": v.code,
-                    "message": v.message,
-                }
-                for v in report.violations
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in report.lines():
-            print(line)
+    payload = {
+        "conformant": report.conformant,
+        "violations": [
+            {
+                "code": v.code,
+                "focus": repr(v.focus),
+                "message": v.message,
+                "predicate": v.predicate.value if v.predicate else None,
+                "shape": v.shape,
+            }
+            for v in report.violations
+        ],
+    }
+    _write(args, payload, report.lines())
     return EXIT_OK if report.conformant else EXIT_NONCONFORMANT
 
 
@@ -223,88 +251,39 @@ def _cmd_ingest(args) -> int:
         rows = ingest.read_csv_records(text, delimiter=args.delimiter)
     graph, report = ingest.ingest_table(rows, mapping)
     _emit(turtle_chunks(graph), args.out)
-    if args.format == "json":
-        payload = {
-            "rows": report.rows,
-            "triples": report.triples,
-            "skipped_cells": report.skipped_cells,
-            "failures": [
-                {"row": f.row, "column": f.column, "value": f.value, "reason": f.reason}
-                for f in report.failures
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True), file=sys.stderr)
-    else:
-        for line in report.lines():
-            print(line, file=sys.stderr)
-    return EXIT_OK
-
-
-def _render_terms(found, fmt: str) -> int:
-    rendered = [repr(t) for t in found]
-    if fmt == "json":
-        print(json.dumps({"results": rendered}, indent=2))
-    else:
-        for line in rendered:
-            print(line)
+    payload = {
+        "failures": [
+            {"column": f.column, "reason": f.reason, "row": f.row, "value": f.value}
+            for f in report.failures
+        ],
+        "rows": report.rows,
+        "skipped_cells": report.skipped_cells,
+        "triples": report.triples,
+    }
+    _write(args, payload, report.lines(), sys.stderr)
     return EXIT_OK
 
 
 def _cmd_query(args) -> int:
-    if args.subquery != "temporal-check" and not args.node:
+    query, key, row = _QUERIES[args.subquery]
+    check = key == "violations"
+    if not check and not args.node:
         raise _UsageError(f"query {args.subquery} requires --node")
     from . import queries
 
     data = parse_turtle(_read_file(args.data))
     schema = _load_schema(args.ontology)
-    vocab = DingoTerms(args.base)
-
-    if args.subquery == "temporal-check":
-        violations = queries.check_temporal(data, vocab)
-        if args.format == "json":
-            payload = [
-                {
-                    "node": repr(v.node),
-                    "start_property": v.property_pair[0].value,
-                    "end_property": v.property_pair[1].value,
-                    "start_value": v.start_value,
-                    "end_value": v.end_value,
-                    "code": v.code,
-                }
-                for v in violations
-            ]
-            print(json.dumps({"violations": payload}, indent=2))
-        else:
-            for v in violations:
-                print(
-                    f"[{v.code}] {v.node!r} "
-                    f"<{v.property_pair[0].value}> {v.start_value!r} "
-                    f"> <{v.property_pair[1].value}> {v.end_value!r}"
-                )
-        return EXIT_OK if not violations else EXIT_NONCONFORMANT
-
-    node = _parse_node(args.node)
-    query = _NODE_QUERIES[args.subquery]
+    node = None if check else _parse_node(args.node)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", queries.UntypedNodeWarning)
-        found = query(queries, data, schema, node, args.inherited, vocab)
+        found = query(queries, data, schema, node, args.inherited, DingoTerms(args.base))
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    if args.subquery != "participants":
-        if isinstance(found, set):
-            found = sorted(found, key=repr)
-        return _render_terms(found, args.format)
-    if args.format == "json":
-        payload = [
-            {"agent": repr(p.agent), "role": repr(p.role) if p.role else None}
-            for p in found
-        ]
-        print(json.dumps({"results": payload}, indent=2))
-    else:
-        for p in found:
-            role = repr(p.role) if p.role else "-"
-            print(f"{p.agent!r}\t{role}")
-    return EXIT_OK
+    if isinstance(found, set):
+        found = sorted(found, key=repr)
+    rows = [row(entry) for entry in found]
+    _write(args, {key: [item for item, _ in rows]}, [line for _, line in rows])
+    return EXIT_NONCONFORMANT if check and found else EXIT_OK
 
 
 def _cmd_docgen(args) -> int:

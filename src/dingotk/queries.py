@@ -65,8 +65,8 @@ DEFAULT_TERMS = DingoTerms()
 
 def _paired_neighbors(data: Graph, node: Term, outgoing: IRI, incoming: IRI) -> set:
     """Union of objects via `outgoing` and subjects via `incoming`."""
-    found = {t.object for t in data.match(node, outgoing, None)}
-    found |= {t.subject for t in data.match(None, incoming, node)}
+    found = {t.object for t in data.find(node, outgoing, None)}
+    found |= {t.subject for t in data.find(None, incoming, node)}
     return found
 
 
@@ -128,19 +128,24 @@ def scheme_ancestry(
     order inside each layer; a node appears once at its shallowest depth.
     Cyclic parent data raises SchemeCycleError naming the members.
     """
-    cycle = find_cycle(
-        [scheme], lambda node: sorted(_parents_of(data, node, vocab), key=term_sort_key)
-    )
+    parents: dict = {}  # node -> its parent set, read once by the cycle walk
+
+    def successors(node: Term) -> list:
+        parents[node] = _parents_of(data, node, vocab)
+        return sorted(parents[node], key=term_sort_key)
+
+    cycle = find_cycle([scheme], successors)
     if cycle is not None:
         raise SchemeCycleError(cycle)
 
+    # the walk met every node reachable from scheme, so the layers read parents
     ancestry: list = []
     seen = {scheme}
     frontier = [scheme]
     while frontier:
         layer: set = set()
         for node in frontier:
-            layer |= _parents_of(data, node, vocab) - seen
+            layer |= parents[node] - seen
         ordered = sorted(layer, key=term_sort_key)
         ancestry.extend(ordered)
         seen |= layer

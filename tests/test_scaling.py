@@ -112,6 +112,15 @@ def test_calls_per_triple_do_not_grow_with_the_input(name, corpus_texts, snapsho
     assert large <= SLACK * small, f"{name}: {small:.2f} calls per triple, then {large:.2f}"
 
 
+def test_scheme_ancestry_reads_each_link_once(corpus_texts):
+    # the cycle walk keeps each scheme's parents for the breadth-first pass,
+    # so a link costs about 30 calls; reading the graph again costs 27 more
+    for n in SIZES:
+        links, run = layer_run("scheme_chain", n, corpus_texts, None, None)
+        per_link = call_count(run) / links
+        assert per_link <= 32, f"{n} links: {per_link:.2f} calls per link"
+
+
 def test_graph_equality_on_a_hub_leaf_takes_linear_time():
     def seconds_per_object(objects: int, repeats: int) -> float:
         hub = [Triple(IRI(EX + "s"), IRI(EX + "p"), Literal(str(i))) for i in range(objects)]
